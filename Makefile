@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check vet build test race race-service race-spaces race-fork race-observability fuzz-smoke bench bench-telemetry bench-smoke
+.PHONY: check vet build test race race-service race-spaces race-observability fuzz-smoke bench bench-telemetry bench-smoke
 
 # check is the tier-1 gate: everything a PR must keep green.
-check: vet build test race race-service race-spaces race-fork race-observability fuzz-smoke bench-telemetry bench-smoke
+check: vet build test race race-service race-spaces race-observability fuzz-smoke bench-telemetry bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -36,16 +36,6 @@ race-spaces:
 	$(GO) test -race -count=2 -run='TestObjectiveStrategyEquivalence|TestInterruptResumeAttackSpaces|TestOracleRandomCoordinates' . ./internal/experiments
 	$(GO) test -race -count=2 -run='TestInvariant12ArchiveHitAttackSpaces' ./internal/service
 
-# The fork strategy under the race detector: the full differential
-# strategy-equivalence matrix (which includes fork across every space ×
-# accelerator combination), fork interrupt+resume over all six spaces,
-# and the fork random-coordinate oracle (invariant 14). The fork scan's
-# parent/child machine pairs and batch feeder are the newest concurrent
-# code in the executor; this gate is their data-race proof.
-race-fork:
-	$(GO) test -race -run='TestStrategyEquivalenceAllBenchmarks|TestInterruptResumeFork' .
-	$(GO) test -race -run='TestOracleRandomCoordinatesFork' ./internal/experiments
-
 # The observability layer under the race detector: the fleet trace
 # timeline (spans merging from concurrent workers into the
 # coordinator's recorder), the straggler watchdog and windowed rate
@@ -62,13 +52,10 @@ race-observability:
 # A short deterministic-corpus + 10s randomized smoke of the attack
 # surfaces: the binary decoders exposed to untrusted bytes
 # (corrupted checkpoint files, mutated cluster wire frames and damaged
-# service archive entries must error, never panic), the ladder
-# delta-restore engine (random
-# programs + random restore/flip/run sequences must reproduce full-
-# snapshot state bit-for-bit), and the predecode fast path under
-# self-modifying stores and code-region bit flips (the pre-decoded
-# dispatch stream must stay lockstep-identical to the plain decoder
-# through precise invalidation). The attack-space coordinate codecs are
+# service archive entries must error, never panic), and the predecode
+# fast path under self-modifying stores and code-region bit flips (the
+# pre-decoded dispatch stream must stay lockstep-identical to the plain
+# decoder through precise invalidation). The attack-space coordinate codecs are
 # covered the same way: the burst (k, pos) decoder must reject or decode
 # to an exact adjacent mask, and skip-space class lists must survive the
 # archive/wire FromClasses round trip.
@@ -76,8 +63,6 @@ fuzz-smoke:
 	$(GO) test ./internal/checkpoint -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=10s
 	$(GO) test ./internal/cluster -run='^$$' -fuzz=FuzzWorkUnitDecode -fuzztime=10s
 	$(GO) test ./internal/service -run='^$$' -fuzz=FuzzArchiveEntryDecode -fuzztime=10s
-	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzDeltaRestore -fuzztime=10s
-	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzForkClone -fuzztime=10s
 	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzPredecodeSelfModify -fuzztime=10s
 	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzBurstMaskDecode -fuzztime=10s
 	$(GO) test ./internal/pruning -run='^$$' -fuzz=FuzzSkipCoordinateRoundTrip -fuzztime=10s

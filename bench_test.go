@@ -285,7 +285,7 @@ var scanBenchSizes = experiments.Figure2Config{
 
 // BenchmarkFullScan times the complete full-scan pipeline per execution
 // strategy on the two Figure-2 kernels. This is the headline executor
-// benchmark: the ladder strategy must beat rerun by ≥ 2× here (see
+// benchmark: the snapshot strategy must beat rerun by ≥ 2× here (see
 // DESIGN.md §8), and its timings feed BENCH_scan.json.
 func BenchmarkFullScan(b *testing.B) {
 	benches := []struct {
@@ -302,7 +302,7 @@ func BenchmarkFullScan(b *testing.B) {
 		memo      bool
 		trace     bool
 	}{
-		// The plain trio tracks the historical baselines; the +pre and
+		// The plain pair tracks the historical baselines; the +pre and
 		// +pre+memo variants quantify the accelerator layers on top. Their
 		// memo.hits / memo.misses / predecode.invalidations counters land
 		// in BENCH_scan.json alongside the timings they explain. The +trace
@@ -312,15 +312,9 @@ func BenchmarkFullScan(b *testing.B) {
 		// the outputs identical; these rows pin the timing honest).
 		{"snapshot", faultspace.StrategySnapshot, false, false, false},
 		{"rerun", faultspace.StrategyRerun, false, false, false},
-		{"ladder", faultspace.StrategyLadder, false, false, false},
-		{"fork", faultspace.StrategyFork, false, false, false},
 		{"snapshot+pre", faultspace.StrategySnapshot, true, false, false},
-		{"ladder+pre", faultspace.StrategyLadder, true, false, false},
-		{"fork+pre", faultspace.StrategyFork, true, false, false},
 		{"snapshot+pre+memo", faultspace.StrategySnapshot, true, true, false},
-		{"ladder+pre+memo", faultspace.StrategyLadder, true, true, false},
 		{"snapshot+pre+memo+trace", faultspace.StrategySnapshot, true, true, true},
-		{"ladder+pre+memo+trace", faultspace.StrategyLadder, true, true, true},
 	}
 	for _, bench := range benches {
 		p, err := bench.spec.Baseline()
@@ -419,7 +413,7 @@ func runFullScanBench(b *testing.B, p *faultspace.Program, benchName, stratName 
 }
 
 // BenchmarkAblationSnapshotVsRerun compares the two experiment-execution
-// strategies on the same full scan: forking from snapshots at the
+// strategies on the same full scan: restoring snapshots taken at the
 // injection slot vs re-executing the golden prefix for every experiment.
 func BenchmarkAblationSnapshotVsRerun(b *testing.B) {
 	p, err := progs.BinSem2(benchSizes.BinSemRounds).Baseline()
@@ -428,11 +422,11 @@ func BenchmarkAblationSnapshotVsRerun(b *testing.B) {
 	}
 	for _, mode := range []struct {
 		name  string
-		rerun bool
-	}{{"snapshot", false}, {"rerun", true}} {
+		strat faultspace.Strategy
+	}{{"snapshot", faultspace.StrategySnapshot}, {"rerun", faultspace.StrategyRerun}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := faultspace.Scan(p, faultspace.ScanOptions{Rerun: mode.rerun}); err != nil {
+				if _, err := faultspace.Scan(p, faultspace.ScanOptions{Strategy: mode.strat}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -509,7 +503,7 @@ func BenchmarkClusterScan(b *testing.B) {
 		strat faultspace.Strategy
 	}{
 		{"snapshot", faultspace.StrategySnapshot},
-		{"ladder", faultspace.StrategyLadder},
+		{"rerun", faultspace.StrategyRerun},
 	} {
 		for _, workers := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("strategy=%s/workers=%d", strat.name, workers), func(b *testing.B) {

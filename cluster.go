@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"time"
 
 	"faultspace/internal/campaign"
@@ -30,8 +29,8 @@ var ErrCoordinatorShutdown = cluster.ErrShutdown
 var ErrCoordinatorUnreachable = cluster.ErrUnreachable
 
 // ServeOptions parameterizes ServeScan. The embedded ScanOptions keep
-// their meaning; Workers and Rerun are ignored (the coordinator executes
-// no experiments itself).
+// their meaning; Workers and Strategy are ignored (the coordinator
+// executes no experiments itself).
 type ServeOptions struct {
 	ScanOptions
 	// UnitSize is the number of equivalence classes per leased work unit
@@ -144,7 +143,7 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 	if opts.OnListen != nil {
 		opts.OnListen(ln.Addr().String())
 	}
-	srv := &http.Server{Handler: coord.Handler()}
+	srv := cluster.NewServer(coord.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
@@ -191,16 +190,9 @@ type JoinOptions struct {
 	// Workers is the number of parallel experiment executors (default
 	// GOMAXPROCS).
 	Workers int
-	// Rerun selects the rerun-from-reset strategy for this worker's
-	// experiments; strategies may differ freely across the cluster.
-	// Superseded by Strategy; ignored when Strategy is set.
-	Rerun bool
-	// Strategy selects this worker's execution strategy explicitly
-	// (default snapshot, or rerun when Rerun is set).
+	// Strategy selects this worker's execution strategy (default
+	// snapshot); strategies may differ freely across the cluster.
 	Strategy Strategy
-	// LadderInterval is the rung spacing for StrategyLadder (0 auto-
-	// tunes from the golden-trace length).
-	LadderInterval uint64
 	// Predecode enables the simulator's pre-decoded dispatch stream on
 	// this worker's machines. Outcome-invariant and local to this worker.
 	Predecode bool
@@ -228,18 +220,14 @@ type JoinOptions struct {
 // whose campaign identity differs from the coordinator's is rejected.
 func JoinScan(addr string, opts JoinOptions) error {
 	wopts := cluster.WorkerOptions{
-		ID:             opts.WorkerID,
-		Workers:        opts.Workers,
-		Strategy:       opts.Strategy,
-		LadderInterval: opts.LadderInterval,
-		Predecode:      opts.Predecode,
-		Memo:           opts.Memo,
-		Interrupt:      opts.Interrupt,
-		Logf:           opts.Logf,
-		Telemetry:      opts.Telemetry,
-	}
-	if wopts.Strategy == 0 && opts.Rerun {
-		wopts.Strategy = campaign.StrategyRerun
+		ID:        opts.WorkerID,
+		Workers:   opts.Workers,
+		Strategy:  opts.Strategy,
+		Predecode: opts.Predecode,
+		Memo:      opts.Memo,
+		Interrupt: opts.Interrupt,
+		Logf:      opts.Logf,
+		Telemetry: opts.Telemetry,
 	}
 	if err := cluster.Join(normalizeURL(addr), wopts); err != nil {
 		if errors.Is(err, campaign.ErrInterrupted) {

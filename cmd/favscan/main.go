@@ -39,6 +39,7 @@ import (
 
 	"faultspace"
 	"faultspace/internal/campaign"
+	"faultspace/internal/cluster"
 	"faultspace/internal/harden"
 	"faultspace/internal/progs"
 	"faultspace/internal/report"
@@ -62,9 +63,7 @@ func run(args []string, w, errW io.Writer) error {
 		seed     = fs.Int64("seed", 1, "PRNG seed for sampling")
 		biased   = fs.Bool("biased", false, "sample classes uniformly (Pitfall 2) instead of raw coordinates")
 		effect   = fs.Bool("effective", false, "sample the reduced population w' (Corollary 1)")
-		rerun    = fs.Bool("rerun", false, "use the rerun-from-start strategy instead of snapshot forking")
-		strategy = fs.String("strategy", "", "experiment strategy: snapshot, rerun, ladder or fork (default snapshot)")
-		ladderIv = fs.Uint64("ladder-interval", 0, "rung spacing in cycles for -strategy ladder or fork (0 = auto-tune)")
+		strategy = fs.String("strategy", "snapshot", "experiment strategy: snapshot, or rerun (the unaccelerated reference)")
 		predec   = fs.Bool("predecode", true, "execute via the pre-decoded dispatch stream (outcome-invariant; -predecode=false for the plain decoder)")
 		memo     = fs.Bool("memo", false, "memoize experiment remainders across the campaign (outcome-invariant, invariant 11)")
 		space    = fs.String("space", "memory", "fault space: memory, registers (§VI-B), skip, pc, burst2 or burst4")
@@ -111,12 +110,9 @@ func run(args []string, w, errW io.Writer) error {
 	if err := validObjective(*objFl); err != nil {
 		return err
 	}
-	strat, err := parseStrategy(*strategy, *rerun)
+	strat, err := parseStrategy(*strategy)
 	if err != nil {
 		return err
-	}
-	if *ladderIv > 0 && strat != faultspace.StrategyLadder && strat != faultspace.StrategyFork {
-		return fmt.Errorf("-ladder-interval requires -strategy ladder or fork")
 	}
 	if *resume && *ckpt == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
@@ -157,12 +153,11 @@ func run(args []string, w, errW io.Writer) error {
 			return fmt.Errorf("-join is a pure worker: it accepts no campaign, archive or checkpoint flags")
 		}
 		jopts := faultspace.JoinOptions{
-			WorkerID:       *workerID,
-			Workers:        *workers,
-			Strategy:       strat,
-			LadderInterval: *ladderIv,
-			Predecode:      *predec,
-			Memo:           *memo,
+			WorkerID:  *workerID,
+			Workers:   *workers,
+			Strategy:  strat,
+			Predecode: *predec,
+			Memo:      *memo,
 		}
 		if *progress {
 			jopts.Logf = func(format string, args ...any) {
@@ -193,12 +188,11 @@ func run(args []string, w, errW io.Writer) error {
 			return fmt.Errorf("-fleet is a pure worker: it accepts no campaign, archive or checkpoint flags")
 		}
 		fopts := faultspace.FleetOptions{JoinOptions: faultspace.JoinOptions{
-			WorkerID:       *workerID,
-			Workers:        *workers,
-			Strategy:       strat,
-			LadderInterval: *ladderIv,
-			Predecode:      *predec,
-			Memo:           *memo,
+			WorkerID:  *workerID,
+			Workers:   *workers,
+			Strategy:  strat,
+			Predecode: *predec,
+			Memo:      *memo,
 		}}
 		if *progress {
 			fopts.Logf = func(format string, args ...any) {
@@ -267,13 +261,12 @@ func run(args []string, w, errW io.Writer) error {
 		return err
 	}
 	opts := faultspace.ScanOptions{
-		Workers:        *workers,
-		Strategy:       strat,
-		LadderInterval: *ladderIv,
-		Predecode:      *predec,
-		Memo:           *memo,
-		Space:          spaceKind,
-		Objective:      *objFl,
+		Workers:   *workers,
+		Strategy:  strat,
+		Predecode: *predec,
+		Memo:      *memo,
+		Space:     spaceKind,
+		Objective: *objFl,
 	}
 	if *progress {
 		opts.OnProgress = progressPrinter(errW)
@@ -524,35 +517,15 @@ func validObjective(name string) error {
 	return fmt.Errorf("unknown objective %q (valid: %s)", name, strings.Join(faultspace.ObjectiveNames(), ", "))
 }
 
-// parseStrategy validates the -strategy flag value and reconciles it
-// with the legacy -rerun boolean.
-func parseStrategy(s string, rerun bool) (faultspace.Strategy, error) {
+// parseStrategy validates the -strategy flag value.
+func parseStrategy(s string) (faultspace.Strategy, error) {
 	switch s {
-	case "":
-		if rerun {
-			return faultspace.StrategyRerun, nil
-		}
-		return faultspace.StrategySnapshot, nil
 	case "snapshot":
-		if rerun {
-			return 0, fmt.Errorf("-strategy snapshot contradicts -rerun")
-		}
 		return faultspace.StrategySnapshot, nil
 	case "rerun":
 		return faultspace.StrategyRerun, nil
-	case "ladder":
-		if rerun {
-			return 0, fmt.Errorf("-strategy ladder contradicts -rerun")
-		}
-		return faultspace.StrategyLadder, nil
-	case "fork":
-		if rerun {
-			return 0, fmt.Errorf("-strategy fork contradicts -rerun")
-		}
-		return faultspace.StrategyFork, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q (valid: snapshot, rerun, ladder, fork)", s)
 	}
+	return 0, fmt.Errorf("unknown strategy %q (valid: snapshot, rerun)", s)
 }
 
 // clusterProgressPrinter renders the coordinator's cluster progress
@@ -590,7 +563,7 @@ func serveMetrics(addr string, reg *faultspace.Telemetry, errW io.Writer) (func(
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = faultspace.WritePrometheus(w, reg.Snapshot(), nil)
 	})
-	srv := &http.Server{Handler: mux}
+	srv := cluster.NewServer(mux)
 	go srv.Serve(ln)
 	fmt.Fprintf(errW, "favscan: serving /metrics on %s\n", ln.Addr())
 	return ln.Close, nil

@@ -83,7 +83,7 @@ func TestSamplingModes(t *testing.T) {
 
 func TestRerunStrategyFlag(t *testing.T) {
 	a := runScan(t, "hi")
-	b := runScan(t, "-rerun", "hi")
+	b := runScan(t, "-strategy", "rerun", "hi")
 	if a != b {
 		t.Error("rerun strategy must not change scan results")
 	}
@@ -187,7 +187,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "sort1.ckpt")
 	campaign := []string{"-workers", "1", "-sort-elements", "48", "sort1"}
 
-	child := exec.Command(exe, append([]string{"-checkpoint", ck, "-progress", "-rerun"}, campaign...)...)
+	child := exec.Command(exe, append([]string{"-checkpoint", ck, "-progress", "-strategy", "rerun"}, campaign...)...)
 	child.Env = append(os.Environ(), "FAVSCAN_CHILD=1")
 	var childErr strings.Builder
 	child.Stdout = io.Discard
@@ -244,12 +244,13 @@ func TestFlagValidationUpfront(t *testing.T) {
 		want string
 	}{
 		{[]string{"-space", "cache", "hi"}, "valid: memory, registers"},
-		{[]string{"-strategy", "quantum", "hi"}, "valid: snapshot, rerun, ladder, fork"},
-		{[]string{"-strategy", "snapshot", "-rerun", "hi"}, "contradicts"},
-		{[]string{"-strategy", "ladder", "-rerun", "hi"}, "contradicts"},
-		{[]string{"-strategy", "fork", "-rerun", "hi"}, "contradicts"},
-		{[]string{"-ladder-interval", "64", "hi"}, "requires -strategy ladder or fork"},
-		{[]string{"-ladder-interval", "64", "-strategy", "rerun", "hi"}, "requires -strategy ladder or fork"},
+		{[]string{"-strategy", "quantum", "hi"}, "valid: snapshot, rerun"},
+		// The retired ladder and fork strategies and their flags fail
+		// fast instead of silently falling back to the default.
+		{[]string{"-strategy", "ladder", "hi"}, "valid: snapshot, rerun"},
+		{[]string{"-strategy", "fork", "hi"}, "valid: snapshot, rerun"},
+		{[]string{"-rerun", "hi"}, "flag provided but not defined: -rerun"},
+		{[]string{"-ladder-interval", "64", "hi"}, "flag provided but not defined: -ladder-interval"},
 		{[]string{"-serve", ":0", "-join", "x:1", "hi"}, "mutually exclusive"},
 		{[]string{"-serve", ":0", "-sample", "10", "hi"}, "full scans only"},
 		{[]string{"-join", "x:1", "hi"}, "no benchmark argument"},
@@ -268,20 +269,12 @@ func TestFlagValidationUpfront(t *testing.T) {
 			t.Errorf("run(%v): error %q does not mention %q", tc.args, err, tc.want)
 		}
 	}
-	// Strategy flag accepts its valid values, and none of them (nor the
-	// ladder rung spacing) may change the scan report.
+	// Strategy flag accepts its valid values, and neither may change
+	// the scan report.
 	a := runScan(t, "-strategy", "snapshot", "hi")
 	b := runScan(t, "-strategy", "rerun", "hi")
 	if a != b {
 		t.Error("-strategy must not change scan results")
-	}
-	c := runScan(t, "-strategy", "ladder", "hi")
-	if a != c {
-		t.Error("-strategy ladder must not change scan results")
-	}
-	d := runScan(t, "-strategy", "ladder", "-ladder-interval", "3", "hi")
-	if a != d {
-		t.Error("-ladder-interval must not change scan results")
 	}
 }
 
@@ -351,11 +344,8 @@ func serveWithWorkers(t *testing.T, serveArgs []string, nWorkers int) string {
 			// Mixed strategies across the cluster: outcomes must not
 			// depend on which strategy which worker runs.
 			args := []string{"-join", addr, "-worker-id", fmt.Sprintf("w%d", i)}
-			switch i % 3 {
-			case 1:
+			if i%2 == 1 {
 				args = append(args, "-strategy", "rerun")
-			case 2:
-				args = append(args, "-strategy", "ladder")
 			}
 			if err := run(args, io.Discard, io.Discard); err != nil {
 				t.Errorf("worker %d: %v", i, err)
@@ -417,7 +407,7 @@ func TestClusterKillCoordinatorAndResume(t *testing.T) {
 	go func() {
 		defer close(workerDone)
 		_ = faultspace.JoinScan(addr, faultspace.JoinOptions{
-			WorkerID: "phase1", Workers: 1, Rerun: true,
+			WorkerID: "phase1", Workers: 1, Strategy: faultspace.StrategyRerun,
 		})
 	}()
 
@@ -475,15 +465,15 @@ func TestScanErrors(t *testing.T) {
 	}
 }
 
-// TestTelemetryManifestLadder is the observability acceptance test: a
-// ladder scan with -telemetry must emit a valid JSON run manifest
-// carrying the campaign identity hash and non-zero strategy counters —
-// while leaving the stdout report byte-identical to an uninstrumented
-// run (invariant 10 at the CLI level).
-func TestTelemetryManifestLadder(t *testing.T) {
+// TestTelemetryManifest is the observability acceptance test: a rerun
+// scan with -telemetry must emit a valid JSON run manifest carrying the
+// campaign identity hash, the strategy and the scan counters — while
+// leaving the stdout report byte-identical to an uninstrumented run
+// (invariant 10 at the CLI level).
+func TestTelemetryManifest(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.json")
-	reference := runScan(t, "-strategy", "ladder", "hi")
-	instrumented := runScan(t, "-strategy", "ladder", "-telemetry", path, "hi")
+	reference := runScan(t, "-strategy", "rerun", "hi")
+	instrumented := runScan(t, "-strategy", "rerun", "-telemetry", path, "hi")
 	if instrumented != reference {
 		t.Errorf("-telemetry changed the stdout report:\n--- with ---\n%s--- without ---\n%s",
 			instrumented, reference)
@@ -500,7 +490,7 @@ func TestTelemetryManifestLadder(t *testing.T) {
 	if m.Tool != "favscan" || m.Benchmark != "hi/baseline" {
 		t.Errorf("manifest identification wrong: tool=%q benchmark=%q", m.Tool, m.Benchmark)
 	}
-	if m.Strategy != "ladder" || m.Space != "memory" {
+	if m.Strategy != "rerun" || m.Space != "memory" {
 		t.Errorf("manifest config wrong: strategy=%q space=%q", m.Strategy, m.Space)
 	}
 	if len(m.Identity) != 64 {
@@ -517,12 +507,6 @@ func TestTelemetryManifestLadder(t *testing.T) {
 	}
 	if got := m.Telemetry.Counters["scan.experiments"]; got != 16 {
 		t.Errorf("scan.experiments = %d, want 16", got)
-	}
-	if m.Telemetry.Counters["ladder.rung_restores"] == 0 {
-		t.Error("ladder.rung_restores must be non-zero on a ladder scan")
-	}
-	if m.Telemetry.Gauges["ladder.rungs"] <= 0 {
-		t.Error("ladder.rungs gauge must be positive on a ladder scan")
 	}
 	var timed uint64
 	for name, h := range m.Telemetry.Histograms {
@@ -551,9 +535,6 @@ func TestTelemetryManifestLadder(t *testing.T) {
 	}
 	if m2.Strategy != "snapshot" {
 		t.Errorf("default strategy name = %q, want snapshot", m2.Strategy)
-	}
-	if m2.Telemetry.Counters["ladder.rung_restores"] != 0 || m2.Telemetry.Gauges["ladder.rungs"] != 0 {
-		t.Error("snapshot manifest must not carry ladder counters")
 	}
 }
 

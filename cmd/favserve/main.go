@@ -84,6 +84,10 @@ func run(args []string, w, errW io.Writer) error {
 		}
 	}()
 
+	strategy := faultspace.StrategySnapshot
+	if *rerun {
+		strategy = faultspace.StrategyRerun
+	}
 	opts := faultspace.CampaignServiceOptions{
 		ArchiveDir:      *archiveDir,
 		MaxArchiveBytes: *archiveMax,
@@ -95,7 +99,7 @@ func run(args []string, w, errW io.Writer) error {
 		LocalWorkers:    *workers,
 		WorkerOptions: faultspace.JoinOptions{
 			Workers:   *parallel,
-			Rerun:     *rerun,
+			Strategy:  strategy,
 			Predecode: *predec,
 			Memo:      *memo,
 		},

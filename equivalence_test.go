@@ -68,10 +68,10 @@ func scanBytes(t *testing.T, res *ScanResult) []byte {
 // TestStrategyEquivalenceAllBenchmarks is the differential strategy-
 // equivalence matrix (DESIGN.md invariants 9 and 11): for every bundled
 // benchmark × every fault-space kind, the full
-// {snapshot, rerun, ladder} × {predecode on/off} × {memo on/off} grid —
-// plus telemetry-instrumented variants — must archive byte-identically
-// to the naive plain-decoder rerun reference. This is the invariant
-// that justifies excluding Strategy, LadderInterval, Predecode and Memo
+// {snapshot, rerun} × {predecode on/off} × {memo on/off} grid — plus
+// telemetry-instrumented and span-traced variants — must archive
+// byte-identically to the naive plain-decoder rerun reference. This is
+// the invariant that justifies excluding Strategy, Predecode and Memo
 // from the campaign identity hash.
 func TestStrategyEquivalenceAllBenchmarks(t *testing.T) {
 	strategies := []struct {
@@ -80,8 +80,6 @@ func TestStrategyEquivalenceAllBenchmarks(t *testing.T) {
 	}{
 		{"snapshot", StrategySnapshot},
 		{"rerun", StrategyRerun},
-		{"ladder/auto", StrategyLadder},
-		{"fork/auto", StrategyFork},
 	}
 	for _, name := range progs.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -114,19 +112,6 @@ func TestStrategyEquivalenceAllBenchmarks(t *testing.T) {
 						}
 					}
 				}
-				// An explicit ladder interval shifts both rung and memo
-				// boundaries; outcomes must not care. For fork it also
-				// reshapes the batch carving — more rungs, smaller batches.
-				cases = append(cases, tcase{
-					label: "ladder/7/pre=true/memo=true",
-					opts: ScanOptions{Space: space, Strategy: StrategyLadder,
-						LadderInterval: 7, Predecode: true, Memo: true},
-				})
-				cases = append(cases, tcase{
-					label: "fork/7/pre=true/memo=true",
-					opts: ScanOptions{Space: space, Strategy: StrategyFork,
-						LadderInterval: 7, Predecode: true, Memo: true},
-				})
 				// Invariant 10: telemetry observes a campaign, never steers
 				// it — instrumented scans of every strategy, with both
 				// accelerators on, must archive byte-identically to the
@@ -200,8 +185,8 @@ func TestStrategyEquivalenceAllBenchmarks(t *testing.T) {
 
 // TestObjectiveStrategyEquivalence pins the objective soundness contract
 // down differentially: under an attacker objective the attack flags are
-// part of the recorded outcome, and every strategy/accelerator must
-// still archive byte-identically to the plain rerun reference. The PC
+// part of the recorded outcome, and the fully accelerated snapshot scan
+// must still archive byte-identically to the plain rerun reference. The PC
 // space is the sharp case — its classes are only outcome-equivalent, so
 // a predicate peeking at non-invariant observables would diverge here.
 func TestObjectiveStrategyEquivalence(t *testing.T) {
@@ -213,17 +198,14 @@ func TestObjectiveStrategyEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := scanBytes(t, rerun)
-			for _, strat := range []Strategy{StrategySnapshot, StrategyLadder, StrategyFork} {
-				label := fmt.Sprintf("%s/%s/%v", space, obj, strat)
-				got, err := Scan(prog, ScanOptions{Space: space, Strategy: strat,
-					Predecode: true, Memo: true, Objective: obj})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				assertSameOutcomes(t, label, rerun, got)
-				if !bytes.Equal(scanBytes(t, got), ref) {
-					t.Errorf("%s: archived reports are not byte-identical", label)
-				}
+			label := fmt.Sprintf("%s/%s/snapshot", space, obj)
+			got, err := Scan(prog, ScanOptions{Space: space, Predecode: true, Memo: true, Objective: obj})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertSameOutcomes(t, label, rerun, got)
+			if !bytes.Equal(scanBytes(t, got), ref) {
+				t.Errorf("%s: archived reports are not byte-identical", label)
 			}
 			// The objective changes recorded outcomes, so it must change
 			// the campaign identity (unlike the accelerator knobs).
@@ -245,32 +227,31 @@ func TestObjectiveStrategyEquivalence(t *testing.T) {
 func TestInterruptResumeEquivalence(t *testing.T) {
 	for _, name := range progs.Names() {
 		t.Run(name, func(t *testing.T) {
-			testInterruptResume(t, equivProgram(t, name), ScanOptions{}, StrategyLadder)
+			testInterruptResume(t, equivProgram(t, name), ScanOptions{}, StrategyRerun)
 		})
 	}
 }
 
-// TestInterruptResumeFork is invariant 14's interrupt+resume leg: a
-// fork-strategy scan interrupted mid-run (exercising the fork feeder's
-// and workers' interrupt paths) and resumed under fork — so the resume's
-// batch carving runs on an arbitrary leftover class subset — must be
-// byte-identical to an uninterrupted scan, across all six fault spaces.
-// The dos objective on the skip space checks the attack flag survives
-// the fork round trip.
-func TestInterruptResumeFork(t *testing.T) {
+// TestInterruptResumeSpaces is the interrupt+resume leg across all six
+// fault spaces: a snapshot-strategy scan interrupted mid-run and resumed
+// under rerun — so the resume runs the reference strategy on an
+// arbitrary leftover class subset — must be byte-identical to an
+// uninterrupted scan. The dos objective on the skip space checks the
+// attack flag survives the checkpoint round trip.
+func TestInterruptResumeSpaces(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts ScanOptions
 	}{
-		{"memory", ScanOptions{Space: SpaceMemory, Strategy: StrategyFork}},
-		{"registers", ScanOptions{Space: SpaceRegisters, Strategy: StrategyFork}},
-		{"skip+dos", ScanOptions{Space: SpaceSkip, Strategy: StrategyFork, Objective: "dos"}},
-		{"pc", ScanOptions{Space: SpacePC, Strategy: StrategyFork}},
-		{"burst2", ScanOptions{Space: SpaceBurst2, Strategy: StrategyFork}},
-		{"burst4", ScanOptions{Space: SpaceBurst4, Strategy: StrategyFork}},
+		{"memory", ScanOptions{Space: SpaceMemory}},
+		{"registers", ScanOptions{Space: SpaceRegisters}},
+		{"skip+dos", ScanOptions{Space: SpaceSkip, Objective: "dos"}},
+		{"pc", ScanOptions{Space: SpacePC}},
+		{"burst2", ScanOptions{Space: SpaceBurst2}},
+		{"burst4", ScanOptions{Space: SpaceBurst4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			testInterruptResume(t, equivProgram(t, "bin_sem2"), tc.opts, StrategyFork)
+			testInterruptResume(t, equivProgram(t, "bin_sem2"), tc.opts, StrategyRerun)
 		})
 	}
 }
@@ -288,7 +269,7 @@ func TestInterruptResumeAttackSpaces(t *testing.T) {
 		{"burst2", ScanOptions{Space: SpaceBurst2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			testInterruptResume(t, equivProgram(t, "bin_sem2"), tc.opts, StrategyLadder)
+			testInterruptResume(t, equivProgram(t, "bin_sem2"), tc.opts, StrategyRerun)
 		})
 	}
 }

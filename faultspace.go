@@ -94,28 +94,17 @@ const (
 // Strategy selects how scan experiments re-reach their injection slot.
 type Strategy = campaign.Strategy
 
-// Experiment-execution strategies. All strategies produce byte-identical
-// scan results (the strategy-equivalence invariant); they differ only in
-// speed and memory.
+// Experiment-execution strategies. Both produce byte-identical scan
+// results (the strategy-equivalence invariant); they differ only in
+// speed.
 const (
 	// StrategySnapshot advances one pioneer machine through the golden run
-	// and forks experiment machines at each injection slot. Default.
+	// and restores experiment machines from its state at each injection
+	// slot. Default.
 	StrategySnapshot = campaign.StrategySnapshot
 	// StrategyRerun re-executes every experiment from the reset state —
-	// the naive mode, kept for validation and ablation.
+	// the naive mode, kept as the validation reference and for ablation.
 	StrategyRerun = campaign.StrategyRerun
-	// StrategyLadder captures delta snapshots of the golden run every
-	// LadderInterval cycles and serves each experiment from the nearest
-	// rung at-or-below its injection slot, executing only the remaining
-	// delta.
-	StrategyLadder = campaign.StrategyLadder
-	// StrategyFork batches classes along rung boundaries in injection
-	// order and advances a per-worker cursor machine monotonically
-	// through the golden run, forking a cheap dirty-page-delta child at
-	// each injection cycle — the golden prefix is simulated once per
-	// batch instead of once per experiment. The fastest strategy on full
-	// scans; see DESIGN.md §4f.
-	StrategyFork = campaign.StrategyFork
 )
 
 // Progress is one event of a scan's progress stream; see ScanOptions.
@@ -189,18 +178,9 @@ type ScanOptions struct {
 	// Workers is the number of parallel experiment executors (default:
 	// GOMAXPROCS).
 	Workers int
-	// Rerun forces the naive rerun-from-start execution strategy instead
-	// of snapshot forking. Superseded by Strategy; kept for backward
-	// compatibility and ignored when Strategy is set.
-	Rerun bool
-	// Strategy selects the execution strategy explicitly (default:
-	// StrategySnapshot, or StrategyRerun when Rerun is set). Strategies
-	// are outcome-invariant: they never change the scan result.
+	// Strategy selects the execution strategy (default StrategySnapshot).
+	// Strategies are outcome-invariant: they never change the scan result.
 	Strategy Strategy
-	// LadderInterval is the rung spacing in cycles for StrategyLadder;
-	// 0 auto-tunes from the golden-trace length. Smaller intervals trade
-	// snapshot memory for less delta re-execution per experiment.
-	LadderInterval uint64
 	// Predecode enables the simulator's pre-decoded dispatch stream: the
 	// program is lowered once per worker machine into a dense instruction
 	// stream executed by a tight chunked loop. Outcome-invariant — the
@@ -208,7 +188,7 @@ type ScanOptions struct {
 	// changes scan results and is excluded from the campaign identity.
 	Predecode bool
 	// Memo enables cross-experiment outcome memoization: post-injection
-	// machine states are hashed at rung-interval boundaries and the
+	// machine states are hashed at fixed probe boundaries and the
 	// remainder of each run is shared across all experiments of the
 	// campaign. Outcome-invariant (DESIGN.md invariant 11).
 	Memo bool
@@ -246,8 +226,8 @@ type ScanOptions struct {
 	// returns the partial result with ErrInterrupted.
 	Interrupt <-chan struct{}
 	// Telemetry, when non-nil, collects campaign metrics: experiment
-	// counts, per-outcome timing histograms, strategy shortcut counters
-	// and checkpoint I/O. Outcome-invariant (invariant 10) and excluded
+	// counts, per-outcome timing histograms, memo counters and
+	// checkpoint I/O. Outcome-invariant (invariant 10) and excluded
 	// from the campaign identity hash, exactly like Strategy and Workers.
 	Telemetry *Telemetry
 }
@@ -265,7 +245,6 @@ func (o ScanOptions) campaignConfig() (campaign.Config, error) {
 		TimeoutFactor:    o.TimeoutFactor,
 		Workers:          o.Workers,
 		Strategy:         o.Strategy,
-		LadderInterval:   o.LadderInterval,
 		Predecode:        o.Predecode,
 		Memo:             o.Memo,
 		Objective:        obj,
@@ -277,9 +256,6 @@ func (o ScanOptions) campaignConfig() (campaign.Config, error) {
 		// a bare registry (or none) leaves cfg.Spans nil and the scan pays
 		// nothing. Nil-safe through the whole chain.
 		Spans: o.Telemetry.SpanRecorder(),
-	}
-	if cfg.Strategy == 0 && o.Rerun {
-		cfg.Strategy = campaign.StrategyRerun
 	}
 	return cfg, nil
 }

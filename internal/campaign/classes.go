@@ -76,17 +76,7 @@ func RunClasses(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Conf
 	}
 	out := make([]Outcome, len(fs.Classes))
 	st := newScanTel(cfg)
-	var scanErr error
-	switch cfg.Strategy {
-	case StrategySnapshot:
-		scanErr = scanSnapshot(t, golden, fs, cfg, todo, out, m, st)
-	case StrategyRerun:
-		scanErr = scanRerun(t, golden, fs, cfg, todo, out, m, st)
-	case StrategyLadder:
-		scanErr = scanLadder(t, golden, fs, cfg, todo, out, m, st)
-	case StrategyFork:
-		scanErr = scanFork(t, golden, fs, cfg, todo, out, m, st)
-	}
+	scanErr := cfg.Strategy.scan()(t, golden, fs, cfg, todo, out, m, st)
 	if cfg.MemoCache != nil {
 		cfg.Telemetry.Gauge("memo.entries").Set(int64(cfg.MemoCache.Len()))
 	}

@@ -17,12 +17,11 @@ import (
 // checkpoint may only ever be resumed into a campaign with the same
 // identity.
 //
-// Workers, Strategy and LadderInterval are deliberately excluded — they
-// change how experiments are executed, never what they compute. That
-// invariance is what the differential strategy-equivalence test suite
-// enforces, and it is what makes a checkpoint written under
-// StrategySnapshot resumable under StrategyRerun, StrategyLadder or
-// StrategyFork (or with a different worker count or rung spacing).
+// Workers and Strategy are deliberately excluded — they change how
+// experiments are executed, never what they compute. That invariance is
+// what the differential strategy-equivalence test suite enforces, and it
+// is what makes a checkpoint written under StrategySnapshot resumable
+// under StrategyRerun (or with a different worker count).
 func (t Target) CampaignIdentity(kind pruning.SpaceKind, cfg Config) ([32]byte, error) {
 	cfg = cfg.withDefaults()
 	code, err := isa.EncodeProgram(t.Code)

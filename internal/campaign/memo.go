@@ -11,13 +11,11 @@ import (
 
 // Cross-experiment outcome memoization.
 //
-// The ladder strategy already fast-forwards experiments whose state
-// rejoins the GOLDEN run at a rung boundary (Ladder.StateMatches). This
-// file generalizes that shortcut across experiments: many faulted runs
-// converge onto a common continuation that is NOT the golden one — e.g.
-// a corrupted value funneling into the same error-handling path — and
-// faults in dead bits converge onto the golden state itself, which the
-// snapshot and rerun strategies cannot exploit at all without this.
+// Many faulted runs converge onto a common continuation — a corrupted
+// value funneling into the same error-handling path, or a fault in a
+// dead bit leaving the golden state itself — yet the snapshot and rerun
+// strategies simulate every experiment to its end. This file shares
+// those continuations across the experiments of one campaign.
 //
 // The machine is deterministic, so a running machine's future depends
 // only on its behavior-relevant state (machine.HashExecState) and its
@@ -27,7 +25,7 @@ import (
 // rest of the run contributes to classification is its outcome-relevant
 // suffix: final status and exception, the serial bytes emitted after
 // the boundary, and the detect/correct deltas — exactly the quantities
-// StateMatches excludes from the state because the MMIO ports are
+// HashExecState excludes from the state because the MMIO ports are
 // write-only (they can never steer execution). An experiment that
 // reaches a memoized state therefore composes its outcome as
 // prefix-so-far + cached suffix, skipping the simulation; the result is
@@ -36,19 +34,17 @@ import (
 //
 // When does memoization pay? Each probe hashes the full machine state,
 // so its cost scales with RAMSize, while a hit can never save more than
-// the experiment's remaining cycle budget. On the bundled fav32
-// benchmarks every +memo row of BENCH_scan.json is SLOWER than the same
-// configuration without it (e.g. bin_sem2 snapshot+pre ~32ms → ~60ms):
-// the targets are small, most faulted runs terminate or reconverge
-// within a few hundred cycles, and under the ladder/fork strategies the
-// golden StateMatches fast path already captures the bulk of the
-// funneling, leaving the cache only the rarer non-golden continuations.
-// Memoization earns its keep on campaigns with LONG post-injection
-// tails that repeatedly funnel into few continuations — fault-tolerant
-// targets whose detectors route most faults into one recovery path, or
-// cluster campaigns where one shared cache amortizes across many units.
-// The admission gate below (memoHashBytesPerCycle) bounds the downside
-// on everything else by refusing probes that provably cannot pay off.
+// the experiment's remaining cycle budget. On the bundled kernels the
+// answer depends on the variant (favscan end to end, default sizes, a
+// 2-vCPU Intel Xeon, median of 3; per-variant table in DESIGN.md §4e).
+// On the SUM+DMR variants of bin_sem2, sync2 and mbox1, whose long
+// runs correct most faults and rejoin a few continuations, memo cuts
+// the scan 6–9× (869 → 132 ms, 694 → 110 ms, 1008 → 116 ms). On the
+// baseline variants it costs 1.3–2.4× instead (bin_sem2 18 → 27 ms):
+// the targets are small, most faulted runs end within a few hundred
+// cycles, and the hashes rarely find a match. The admission gate below
+// (memoHashBytesPerCycle) bounds the downside by refusing probes that
+// provably cannot pay off.
 
 // Memo tuning knobs.
 const (
@@ -73,7 +69,26 @@ const (
 	// cannot pay off even under optimistic assumptions; everything else
 	// still reaches the cache and outcome bytes never depend on it.
 	memoHashBytesPerCycle = 16
+
+	// memoBoundaries is the probe-boundary count memoInterval aims for
+	// over the golden run: interval = goldenCycles / memoBoundaries.
+	memoBoundaries = 256
+	// memoMinInterval floors the probe spacing so very short golden
+	// runs do not hash the state after every other instruction.
+	memoMinInterval = 16
 )
+
+// memoInterval returns the cycle spacing of memo probe boundaries for a
+// campaign whose golden run takes goldenCycles: about memoBoundaries
+// boundaries over the golden run, at least memoMinInterval cycles apart.
+// The spacing shifts where probes land, never what they compute, so it
+// is outcome-invariant.
+func (c Config) memoInterval(goldenCycles uint64) uint64 {
+	if c.memoEvery > 0 {
+		return c.memoEvery
+	}
+	return max(goldenCycles/memoBoundaries, memoMinInterval)
+}
 
 // memoKey identifies a post-injection machine state at an experiment
 // boundary: the retired-cycle count plus a 128-bit state hash (two
@@ -244,8 +259,8 @@ func (mr *memoRun) probe(m *machine.Machine) (memoEntry, bool) {
 
 // populate stores one entry per recorded mark from the machine's final
 // state: the run ended naturally (halt, exception, abort) or is settled
-// as a Timeout (still running at the budget, or loop-proven — both
-// classify identically from any earlier boundary, because the budget is
+// as a Timeout (still running at the budget, which classifies
+// identically from any earlier boundary because the budget is
 // campaign-global).
 func (mr *memoRun) populate(m *machine.Machine) {
 	status, exc := m.Status(), m.Exception()
@@ -265,35 +280,35 @@ func (mr *memoRun) populate(m *machine.Machine) {
 	mr.marks = mr.marks[:0]
 }
 
-// populateComposed stores entries for runs whose remainder was itself
-// composed rather than simulated — a memo hit at a later boundary, or
-// golden reconvergence. The final observables are the machine's current
-// values plus the composed tail (tailSerial appended after the
-// machine's current serial, tailDet/tailCor added to its counters).
-func (mr *memoRun) populateComposed(m *machine.Machine, status machine.Status, exc machine.Exception, tailSerial []byte, tailDet, tailCor uint64) {
-	det := m.DetectCount() + tailDet
-	cor := m.CorrectCount() + tailCor
+// populateComposed stores entries for a run whose remainder was not
+// simulated but taken from tail, the entry it hit at a later boundary.
+// The final observables are the machine's current values plus the
+// tail's (its serial appended after the machine's current serial, its
+// counter deltas added to the machine's counters).
+func (mr *memoRun) populateComposed(m *machine.Machine, tail memoEntry) {
+	det := m.DetectCount() + tail.detects
+	cor := m.CorrectCount() + tail.corrects
 	for _, mk := range mr.marks {
 		e := memoEntry{
-			status:   status,
-			exc:      exc,
+			status:   tail.status,
+			exc:      tail.exc,
 			detects:  det - mk.detects,
 			corrects: cor - mk.corrects,
 		}
-		if status == machine.StatusHalted {
+		if tail.status == machine.StatusHalted {
 			e.serial = m.AppendSerialSuffix(nil, mk.serialLen)
-			e.serial = append(e.serial, tailSerial...)
+			e.serial = append(e.serial, tail.serial...)
 		}
 		mr.cache.insert(mk.key, e)
 	}
 	mr.marks = mr.marks[:0]
 }
 
-// memoTail drives an injected experiment to its outcome under the
-// snapshot and rerun strategies with memoization on: advance boundary
-// by boundary (the same spacing the ladder uses), probing the cache at
-// each; a hit composes the outcome from the cached remainder, a natural
-// finish classifies normally and back-fills entries for every miss.
+// memoTail drives an injected experiment to its outcome with
+// memoization on: advance boundary by boundary (interval cycles apart,
+// see memoInterval), probing the cache at each; a hit composes the
+// outcome from the cached remainder, a natural finish classifies
+// normally and back-fills entries for every miss.
 // Disabled memoization (mr == nil) takes the one-call fast path — the
 // exact pre-memo code — so the feature costs nothing when off.
 func memoTail(m *machine.Machine, golden *trace.Golden, budget, interval uint64, obj *Objective, mr *memoRun) Outcome {
@@ -304,9 +319,8 @@ func memoTail(m *machine.Machine, golden *trace.Golden, budget, interval uint64,
 	mr.reset()
 	for m.Status() == machine.StatusRunning && !mr.exhausted() {
 		next := (m.Cycles()/interval + 1) * interval
-		// Probing beyond the golden run's end is not useful: the ladder
-		// strategy stops probing there too, and most runs that survive
-		// past it are headed for the budget.
+		// Probing beyond the golden run's end is not useful: most runs
+		// that survive past it are headed for the budget.
 		if next >= golden.Cycles || next >= budget {
 			break
 		}
@@ -324,7 +338,7 @@ func memoTail(m *machine.Machine, golden *trace.Golden, budget, interval uint64,
 		if e, hit := mr.probe(m); hit {
 			o := composeOutcome(obj, e.status, e.exc, m.SerialView(), e.serial,
 				m.DetectCount()+e.detects, m.CorrectCount()+e.corrects, golden)
-			mr.populateComposed(m, e.status, e.exc, e.serial, e.detects, e.corrects)
+			mr.populateComposed(m, e)
 			return o
 		}
 	}

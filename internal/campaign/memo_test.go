@@ -56,7 +56,7 @@ func TestMemoOracleRandomCoordinates(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		targets = append(targets, randomTarget(rng, 8+rng.Intn(12)))
 	}
-	strategies := []Strategy{StrategySnapshot, StrategyRerun, StrategyLadder, StrategyFork}
+	strategies := []Strategy{StrategySnapshot, StrategyRerun}
 	for ti, target := range targets {
 		golden, fs, err := target.Prepare(1 << 12)
 		if err != nil {
@@ -66,7 +66,7 @@ func TestMemoOracleRandomCoordinates(t *testing.T) {
 		// Interval 1 maximizes probe boundaries (and therefore cache
 		// traffic) on these short programs.
 		res, err := FullScan(target, golden, fs, Config{
-			Strategy: strat, LadderInterval: 1, Predecode: true, Memo: true,
+			Strategy: strat, memoEvery: 1, Predecode: true, Memo: true,
 		})
 		if err != nil {
 			t.Fatalf("target %d: memo scan: %v", ti, err)
@@ -104,11 +104,11 @@ func TestMemoCacheHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []Strategy{StrategySnapshot, StrategyRerun, StrategyLadder, StrategyFork} {
+	for _, strat := range []Strategy{StrategySnapshot, StrategyRerun} {
 		reg := telemetry.New()
 		cache := NewMemoCache()
 		res, err := FullScan(target, golden, fs, Config{
-			Strategy: strat, LadderInterval: 2, Workers: 1,
+			Strategy: strat, memoEvery: 2, Workers: 1,
 			MemoCache: cache, Telemetry: reg,
 		})
 		if err != nil {
@@ -119,11 +119,7 @@ func TestMemoCacheHits(t *testing.T) {
 		}
 		snap := reg.Snapshot()
 		hits, misses := snap.Counters["memo.hits"], snap.Counters["memo.misses"]
-		if strat != StrategyLadder && strat != StrategyFork && hits == 0 {
-			// Under the ladder and fork strategies golden-state convergence
-			// is consumed by the StateMatches fast path first, so memo hits
-			// may legitimately be rare there; snapshot and rerun have no
-			// such competitor and must hit.
+		if hits == 0 {
 			t.Errorf("%s: memo.hits = 0 (misses %d, %d entries) — cache never fired",
 				strat, misses, cache.Len())
 		}
@@ -158,11 +154,11 @@ func TestMemoAdmissionGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []Strategy{StrategySnapshot, StrategyRerun, StrategyLadder, StrategyFork} {
+	for _, strat := range []Strategy{StrategySnapshot, StrategyRerun} {
 		reg := telemetry.New()
 		cache := NewMemoCache()
 		res, err := FullScan(target, golden, fs, Config{
-			Strategy: strat, LadderInterval: 1, TimeoutFactor: 1,
+			Strategy: strat, memoEvery: 1, TimeoutFactor: 1,
 			MemoCache: cache, Telemetry: reg,
 		})
 		if err != nil {
@@ -206,7 +202,7 @@ func TestMemoSharedCacheConcurrentScans(t *testing.T) {
 	cache := NewMemoCache()
 	pool := NewMachinePool(target)
 	cfg := Config{
-		Strategy: StrategyLadder, LadderInterval: 2, Workers: 4,
+		Strategy: StrategySnapshot, memoEvery: 2, Workers: 4,
 		Predecode: true, MemoCache: cache, Pool: pool,
 	}
 	// Shard the classes into interleaved subsets and run them all

@@ -134,8 +134,8 @@ func classify(m *machine.Machine, golden *trace.Golden, obj *Objective) Outcome 
 // parts. It is the single source of truth for the status → outcome
 // mapping; classify and the memo hit path are both thin wrappers. The
 // attacker objective (nil = none) is evaluated here so every
-// classification site — plain run-out, memo hit, reconvergence — flags
-// attack successes identically.
+// classification site — plain run-out or memo hit — flags attack
+// successes identically.
 func composeOutcome(obj *Objective, status machine.Status, exc machine.Exception, serial, suffix []byte, detects, corrects uint64, golden *trace.Golden) Outcome {
 	var base Outcome
 	switch status {
@@ -184,126 +184,4 @@ func classifyHaltedParts(prefix, suffix []byte, detects, corrects uint64, golden
 		return OutcomePrematureHalt
 	}
 	return OutcomeSDC
-}
-
-// classifyConverged classifies an experiment whose machine state
-// reconverged with the golden run at ladder rung r (StateMatches): the
-// continuation is a cycle-for-cycle golden replay ending in a normal
-// halt, so the final serial output and event counters are the current
-// values plus the golden remainder — no further simulation needed. The
-// two serial parts are compared in place (classifyHaltedParts), never
-// concatenated, keeping the reconvergence path allocation-free — under
-// ladder and fork this is the most common way an experiment ends, so it
-// sits squarely on the scan hot path (TestClassifyConvergedAllocFree).
-// Serial-flood is no concern: if the composed output exceeded the
-// machine's serial cap it necessarily differs from the golden output,
-// and both the real run (ExcSerialLimit) and classifyHaltedParts call
-// that SDC.
-func classifyConverged(m *machine.Machine, l *machine.Ladder, r int, golden *trace.Golden, obj *Objective) Outcome {
-	serialLen, gdet, gcor := l.RungAccum(r)
-	suffix := golden.Serial[serialLen:]
-	detects := m.DetectCount() + (golden.Detects - gdet)
-	corrects := m.CorrectCount() + (golden.Corrects - gcor)
-	base := classifyHaltedParts(m.SerialView(), suffix, detects, corrects, golden)
-	return obj.apply(base, machine.StatusHalted, machine.ExcNone,
-		m.SerialLen()+len(suffix), detects, corrects, golden)
-}
-
-// runConverge finishes an injected experiment under the ladder
-// strategy: it advances the machine rung by rung, checking for
-// reconvergence with the golden state at each rung boundary; once the
-// state matches a rung, the outcome is composed from the golden trace
-// without simulating the remainder. A run that survives past the last
-// rung — it outlived the golden run, so it can only halt abnormally or
-// time out — is driven toward the cycle budget under loop detection,
-// which proves most Timeout verdicts as soon as the spin loop closes
-// instead of simulating the full budget. Loop detection starts early:
-// from the first rung whose convergence check fails — most faults that
-// spin forever enter their loop well before the golden run's end, and
-// an exact-state recurrence is an equally sound infinity proof at any
-// cycle (the objective layer masks serial/counter observables for
-// non-halted runs, so proof timing is unobservable). Converging
-// experiments, the common case, never pay a single probe. Neither
-// shortcut changes any outcome relative to rerun: reconvergence
-// implies a golden continuation, and state recurrence implies the
-// budget is unreachable.
-//
-// A non-nil mr adds the cross-experiment shortcut at the same rung
-// boundaries: states that do NOT match the golden rung are probed
-// against the memo cache — a hit composes the outcome from another
-// experiment's cached remainder — and however the run ends (golden
-// reconvergence, memo hit, or natural finish), entries are back-filled
-// for every missed probe so later experiments funneling through the
-// same states skip straight to the outcome.
-//
-// st counts which shortcut, if any, settled the outcome (nil-safe).
-func runConverge(m *machine.Machine, l *machine.Ladder, golden *trace.Golden, budget uint64, obj *Objective, det *machine.LoopDetector, mr *memoRun, st *scanTel) Outcome {
-	if mr != nil {
-		mr.reset()
-	}
-	probing := false
-	for r := l.Find(m.Cycles()) + 1; r < l.Rungs(); r++ {
-		if probing {
-			if det.RunDetectLoop(m, l.RungCycle(r)) {
-				if st != nil {
-					st.loopProofs.Inc()
-				}
-				o := classify(m, golden, obj)
-				if mr != nil {
-					mr.populate(m)
-				}
-				return o
-			}
-			if m.Status() != machine.StatusRunning {
-				break
-			}
-		} else if m.Run(l.RungCycle(r)) != machine.StatusRunning {
-			break
-		}
-		if l.StateMatches(m, r) {
-			if st != nil {
-				st.reconverged.Inc()
-			}
-			o := classifyConverged(m, l, r, golden, obj)
-			if mr != nil {
-				// The continuation from here is the golden remainder:
-				// a normal halt emitting the traced serial/counter tail.
-				serialLen, gdet, gcor := l.RungAccum(r)
-				mr.populateComposed(m, machine.StatusHalted, machine.ExcNone,
-					golden.Serial[serialLen:], golden.Detects-gdet, golden.Corrects-gcor)
-			}
-			return o
-		}
-		if mr != nil && !mr.exhausted() {
-			// Admission gate: skip the probe when the remaining budget
-			// cannot repay the state-hash cost (see memoHashBytesPerCycle).
-			if budget-m.Cycles() < mr.breakEvenCycles(m) {
-				mr.gated()
-			} else if e, hit := mr.probe(m); hit {
-				o := composeOutcome(obj, e.status, e.exc, m.SerialView(), e.serial,
-					m.DetectCount()+e.detects, m.CorrectCount()+e.corrects, golden)
-				mr.populateComposed(m, e.status, e.exc, e.serial, e.detects, e.corrects)
-				return o
-			}
-		}
-		if !probing {
-			probing = true
-			det.Reset()
-		}
-	}
-	if m.Status() == machine.StatusRunning && m.Cycles() < budget {
-		if !probing {
-			det.Reset()
-		}
-		if det.RunDetectLoop(m, budget) && st != nil {
-			st.loopProofs.Inc()
-		}
-	}
-	// A machine still running here either exhausted the budget or was
-	// proven to loop forever; classify calls both Timeout.
-	o := classify(m, golden, obj)
-	if mr != nil {
-		mr.populate(m)
-	}
-	return o
 }

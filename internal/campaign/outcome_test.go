@@ -99,50 +99,6 @@ func TestClassifySerialFlood(t *testing.T) {
 	}
 }
 
-// TestClassifyConvergedAllocFree pins the reconvergence classification
-// as allocation-free: under the ladder and fork strategies most
-// experiments end through classifyConverged, so a single allocation
-// there (the old code concatenated prefix and golden-suffix serial)
-// puts garbage on the scan hot path. The faultless machine below
-// matches the golden rung state by construction.
-func TestClassifyConvergedAllocFree(t *testing.T) {
-	target := hiTarget(t)
-	golden, _ := prepare(t, target)
-	pioneer, err := target.newMachine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	interval := (golden.Cycles + 3) / 4 // a handful of rungs regardless of target size
-	ladder := machine.NewLadder(pioneer)
-	for next := interval; next < golden.Cycles; next += interval {
-		if status := pioneer.Run(next); status != machine.StatusRunning {
-			t.Fatalf("golden replay ended early at cycle %d (%s)", pioneer.Cycles(), status)
-		}
-		ladder.Capture(pioneer)
-	}
-	if ladder.Rungs() < 2 {
-		t.Fatalf("need at least 2 rungs, got %d", ladder.Rungs())
-	}
-	m, err := target.newMachine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := ladder.Rungs() - 1
-	m.Run(ladder.RungCycle(r))
-	if !ladder.StateMatches(m, r) {
-		t.Fatal("faultless replay must match the golden rung state")
-	}
-	run := func() {
-		if o := classifyConverged(m, ladder, r, golden, nil); o != OutcomeNoEffect {
-			t.Fatalf("faultless converged run classified %v, want No Effect", o)
-		}
-	}
-	run() // warm up lazily-allocated machine state
-	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-		t.Errorf("classifyConverged allocates %.1f times per run, want 0", allocs)
-	}
-}
-
 // TestClassifyCorrectionsRelativeToGolden ensures that a golden run which
 // itself signals corrections (it must not, but defensively) is compared by
 // delta, not absolute count.

@@ -59,9 +59,7 @@ func (p *MachinePool) Get() (*machine.Machine, error) {
 		p.reuse.Inc()
 		p.mu.Unlock()
 		// Recycled machines come back in an arbitrary post-experiment
-		// state; rewind to reset so callers see a fresh machine. (The
-		// full restore also marks all RAM pages dirty, keeping any
-		// future ladder Cursor on this machine conservative-correct.)
+		// state; rewind to reset so callers see a fresh machine.
 		m.Restore(reset)
 		return m, nil
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"faultspace/internal/machine"
 	"faultspace/internal/pruning"
@@ -100,17 +99,7 @@ func ResumeScan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Conf
 	}
 	st := newScanTel(cfg)
 	sp := cfg.Spans.Start("scan.run")
-	var scanErr error
-	switch cfg.Strategy {
-	case StrategySnapshot:
-		scanErr = scanSnapshot(t, golden, fs, cfg, todo, res.Outcomes, m, st)
-	case StrategyRerun:
-		scanErr = scanRerun(t, golden, fs, cfg, todo, res.Outcomes, m, st)
-	case StrategyLadder:
-		scanErr = scanLadder(t, golden, fs, cfg, todo, res.Outcomes, m, st)
-	case StrategyFork:
-		scanErr = scanFork(t, golden, fs, cfg, todo, res.Outcomes, m, st)
-	}
+	scanErr := cfg.Strategy.scan()(t, golden, fs, cfg, todo, res.Outcomes, m, st)
 	if sp.Live() {
 		sp.End(fmt.Sprintf("%s: %d classes", cfg.Strategy, len(todo)))
 	}
@@ -187,20 +176,17 @@ func collector(results <-chan record, out []Outcome, m *meter) <-chan struct{} {
 	return done
 }
 
-// collectBatches is collector for strategies that ship completed
-// experiments a batch at a time (currently the fork scan).
-func collectBatches(results <-chan []record, out []Outcome, m *meter) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for rs := range results {
-			for _, r := range rs {
-				out[r.class] = r.outcome
-				m.record(r.class, r.outcome)
-			}
-		}
-	}()
-	return done
+// scanFunc is a strategy's executor: it runs the todo classes, writing
+// each outcome into out and through the meter.
+type scanFunc func(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, todo []int, out []Outcome, m *meter, st *scanTel) error
+
+// scan returns the strategy's executor (validate has rejected unknown
+// strategies, and withDefaults resolved the zero value to snapshot).
+func (s Strategy) scan() scanFunc {
+	if s == StrategyRerun {
+		return scanRerun
+	}
+	return scanSnapshot
 }
 
 // scanFail reports a worker error at most once and raises the stop flag.
@@ -217,7 +203,7 @@ func scanFail(stop *atomic.Bool, errCh chan<- error, err error) {
 
 func scanSnapshot(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, todo []int, out []Outcome, m *meter, st *scanTel) error {
 	budget := cfg.timeoutBudget(golden.Cycles)
-	interval := cfg.ladderInterval(golden.Cycles)
+	interval := cfg.memoInterval(golden.Cycles)
 	flip := flipFor(fs.Kind)
 
 	var machines []*machine.Machine
@@ -327,7 +313,7 @@ func scanSnapshot(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Co
 
 func scanRerun(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, todo []int, out []Outcome, m *meter, st *scanTel) error {
 	budget := cfg.timeoutBudget(golden.Cycles)
-	interval := cfg.ladderInterval(golden.Cycles)
+	interval := cfg.memoInterval(golden.Cycles)
 	flip := flipFor(fs.Kind)
 
 	var machines []*machine.Machine
@@ -390,361 +376,6 @@ feed:
 		case work <- ci:
 		}
 	}
-	close(work)
-	wg.Wait()
-	close(results)
-	<-collected
-	if ferr != nil {
-		return ferr
-	}
-	select {
-	case err := <-errCh:
-		return err
-	default:
-	}
-	return nil
-}
-
-// scanLadder executes experiments from delta snapshots of the golden
-// run: one golden replay captures a rung every cfg.ladderInterval
-// cycles, then each experiment restores the nearest rung at-or-below its
-// injection slot (a targeted dirty-page copy, see machine.Cursor) and
-// executes only the remaining delta. Unlike scanSnapshot there is no
-// slot-ordered feeder — any worker can serve any class from the shared
-// immutable ladder — which makes it equally fast for the arbitrary class
-// subsets cluster workers lease.
-func scanLadder(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, todo []int, out []Outcome, m *meter, st *scanTel) error {
-	budget := cfg.timeoutBudget(golden.Cycles)
-	flip := flipFor(fs.Kind)
-
-	var machines []*machine.Machine
-	defer func() { st.addInvalidations(machines); cfg.releaseMachines(machines) }()
-
-	// Build the ladder with one golden replay. Rungs stop strictly below
-	// the final golden cycle: the latest state any experiment restores is
-	// slot-1 ≤ Δt-1, and the machine must still be running there.
-	pioneer, err := cfg.acquireMachine(t)
-	if err != nil {
-		return err
-	}
-	machines = append(machines, pioneer)
-	interval := cfg.ladderInterval(golden.Cycles)
-	spL := st.spans.Start("scan.golden_prefix")
-	ladder := machine.NewLadder(pioneer)
-	for next := interval; next < golden.Cycles; next += interval {
-		if status := pioneer.Run(next); status != machine.StatusRunning {
-			return fmt.Errorf("campaign: golden replay ended early at cycle %d (status %s)",
-				pioneer.Cycles(), status)
-		}
-		ladder.Capture(pioneer)
-	}
-	if spL.Live() {
-		spL.End(fmt.Sprintf("ladder: %d rungs", ladder.Rungs()))
-	}
-	cfg.Telemetry.Gauge("ladder.rungs").Set(int64(ladder.Rungs()))
-
-	work := make(chan int)
-	results := make(chan record, cfg.Workers*2)
-	errCh := make(chan error, 1)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		worker, err := cfg.acquireMachine(t)
-		if err != nil {
-			close(work)
-			wg.Wait()
-			close(results)
-			return err
-		}
-		machines = append(machines, worker)
-		cur := ladder.NewCursor(worker)
-		det := machine.NewLoopDetector(0)
-		var mr *memoRun
-		if cfg.memoEnabled() {
-			mr = newMemoRun(cfg.MemoCache, st)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range work {
-				select {
-				case <-cfg.Interrupt:
-					scanFail(&stop, errCh, ErrInterrupted)
-				default:
-				}
-				if stop.Load() {
-					continue
-				}
-				t0 := st.begin()
-				slot, bit := fs.Classes[ci].Slot(), fs.Classes[ci].Bit
-				cur.Restore(ladder.Find(slot - 1))
-				if st != nil {
-					st.rungRestores.Inc()
-				}
-				if worker.Cycles() < slot-1 {
-					if status := worker.Run(slot - 1); status != machine.StatusRunning {
-						scanFail(&stop, errCh, fmt.Errorf(
-							"campaign: golden replay ended early at cycle %d (status %s), slot %d",
-							worker.Cycles(), status, slot))
-						continue
-					}
-				}
-				if err := flip(worker, bit); err != nil {
-					scanFail(&stop, errCh, err)
-					continue
-				}
-				o := runConverge(worker, ladder, golden, budget, cfg.Objective, det, mr, st)
-				st.experiment(o, t0)
-				results <- record{class: ci, outcome: o}
-			}
-		}()
-	}
-	collected := collector(results, out, m)
-
-	var ferr error
-feed:
-	for _, ci := range todo {
-		select {
-		case <-cfg.Interrupt:
-			ferr = ErrInterrupted
-			break feed
-		case ferr = <-errCh:
-			break feed
-		case work <- ci:
-		}
-	}
-	close(work)
-	wg.Wait()
-	close(results)
-	<-collected
-	if ferr != nil {
-		return ferr
-	}
-	select {
-	case err := <-errCh:
-		return err
-	default:
-	}
-	return nil
-}
-
-// forkBatchMax caps the classes per fork-scan batch. Batches are carved
-// along rung boundaries for injection locality, but a rung whose span
-// holds thousands of classes would serialize them all onto one worker;
-// splitting costs only one extra rung restore per forkBatchMax classes.
-const forkBatchMax = 512
-
-// forkFlushClasses is how many completed experiments a fork worker
-// accumulates before handing them to the collector in one send.
-const forkFlushClasses = 64
-
-// forkBatch is the unit of work of the fork scan: a run of consecutive
-// (injection-cycle-ordered) classes whose restore point falls on one
-// ladder rung.
-type forkBatch struct {
-	rung    int
-	classes []int // subslice of todo, ascending class index
-}
-
-// carveForkBatches splits the (Slot, Bit)-sorted todo list into
-// injection-ordered batches along rung boundaries: every class in a
-// batch restores from the same rung, and slots never decrease within or
-// across batches — the precondition for the monotone cursor advance.
-func carveForkBatches(l *machine.Ladder, fs *pruning.FaultSpace, todo []int) []forkBatch {
-	batches := make([]forkBatch, 0, l.Rungs()+len(todo)/forkBatchMax)
-	for i := 0; i < len(todo); {
-		r := l.Find(fs.Classes[todo[i]].Slot() - 1)
-		j := i + 1
-		for j < len(todo) && j-i < forkBatchMax && l.Find(fs.Classes[todo[j]].Slot()-1) == r {
-			j++
-		}
-		batches = append(batches, forkBatch{rung: r, classes: todo[i:j]})
-		i = j
-	}
-	return batches
-}
-
-// scanFork executes experiments by forking children off a monotone
-// golden cursor: classes are batched along rung boundaries in injection
-// order; a worker restores the batch's rung once, then advances its
-// cursor (parent) machine forward through the golden run, forking a
-// dirty-page-delta child (machine.Forker) at each injection cycle and
-// running only the faulty suffix on the child. The golden prefix
-// between a batch's injections is thus simulated exactly once per
-// batch — the ladder strategy re-simulates rung→slot for every class —
-// which is what the fork.prefix_cycles_saved counter accounts.
-//
-// Soundness (DESIGN.md §4f): the parent executes nothing but golden
-// cycles — every fault is injected into the child AFTER the fork — so
-// no child can observe faulty state from a previous experiment, and
-// each child starts bit-identical to the ladder worker state at the
-// same slot (Forker's differential-copy invariant). The suffix then
-// runs under the same runConverge driver as the ladder strategy, so
-// fork outcomes are byte-identical to every other strategy
-// (invariant 14).
-func scanFork(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, todo []int, out []Outcome, m *meter, st *scanTel) error {
-	budget := cfg.timeoutBudget(golden.Cycles)
-	flip := flipFor(fs.Kind)
-
-	var machines []*machine.Machine
-	defer func() { st.addInvalidations(machines); cfg.releaseMachines(machines) }()
-
-	// One golden replay builds the rung ladder, exactly like scanLadder.
-	pioneer, err := cfg.acquireMachine(t)
-	if err != nil {
-		return err
-	}
-	machines = append(machines, pioneer)
-	interval := cfg.forkInterval(golden.Cycles)
-	spL := st.spans.Start("scan.golden_prefix")
-	ladder := machine.NewLadder(pioneer)
-	for next := interval; next < golden.Cycles; next += interval {
-		if status := pioneer.Run(next); status != machine.StatusRunning {
-			return fmt.Errorf("campaign: golden replay ended early at cycle %d (status %s)",
-				pioneer.Cycles(), status)
-		}
-		ladder.Capture(pioneer)
-	}
-	if spL.Live() {
-		spL.End(fmt.Sprintf("ladder: %d rungs", ladder.Rungs()))
-	}
-	cfg.Telemetry.Gauge("ladder.rungs").Set(int64(ladder.Rungs()))
-
-	batches := carveForkBatches(ladder, fs, todo)
-
-	work := make(chan forkBatch)
-	// The results channel is deliberately unbuffered: each flush is a
-	// synchronous handoff, so the collector has observed (and metered)
-	// every prior flush before a worker proceeds. Progress therefore
-	// trails execution by at most one flush window even at GOMAXPROCS=1,
-	// which keeps interrupt delivery bounded for embedders that trigger
-	// it from OnProgress.
-	results := make(chan []record)
-	errCh := make(chan error, 1)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		parent, err := cfg.acquireMachine(t)
-		if err != nil {
-			close(work)
-			wg.Wait()
-			close(results)
-			return err
-		}
-		machines = append(machines, parent)
-		child, err := cfg.acquireMachine(t)
-		if err != nil {
-			close(work)
-			wg.Wait()
-			close(results)
-			return err
-		}
-		machines = append(machines, child)
-		cur := ladder.NewCursor(parent)
-		forker := machine.NewForker(parent, child)
-		det := machine.NewLoopDetector(0)
-		var mr *memoRun
-		if cfg.memoEnabled() {
-			mr = newMemoRun(cfg.MemoCache, st)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range work {
-				if stop.Load() {
-					continue
-				}
-				spB := st.spans.Start("scan.batch")
-				// Reposition the cursor once per batch. The forker owns the
-				// parent's dirty bits (it resets them at every Fork), so the
-				// cursor must full-copy and the forker resync afterwards.
-				cur.Invalidate()
-				cur.Restore(b.rung)
-				forker.Invalidate()
-				if st != nil {
-					st.rungRestores.Inc()
-					st.forkBatches.Observe(time.Duration(len(b.classes)))
-				}
-				rungCycle := ladder.RungCycle(b.rung)
-				var children, saved uint64
-				// Completed experiments accumulate locally and ship
-				// forkFlushClasses at a time: the per-record channel
-				// handoff the other strategies pay on every experiment is
-				// a measurable slice of a fork experiment's
-				// sub-microsecond suffix. A flushed slice is never reused
-				// — ownership passes to the collector on send.
-				recs := make([]record, 0, forkFlushClasses+16)
-				for k, ci := range b.classes {
-					// Flush and poll the interrupt every 16 classes (~a
-					// quarter millisecond of experiments): a SIGINT never
-					// waits out a whole 512-class batch, and progress
-					// never trails by more than one flush window.
-					if k&15 == 0 {
-						if len(recs) >= forkFlushClasses {
-							results <- recs
-							recs = make([]record, 0, forkFlushClasses+16)
-						}
-						select {
-						case <-cfg.Interrupt:
-							scanFail(&stop, errCh, ErrInterrupted)
-						default:
-						}
-					}
-					if stop.Load() {
-						break
-					}
-					t0 := st.begin()
-					slot, bit := fs.Classes[ci].Slot(), fs.Classes[ci].Bit
-					// The cycles between the rung and the cursor's current
-					// position are exactly the golden prefix the ladder
-					// strategy would re-simulate for this class.
-					saved += parent.Cycles() - rungCycle
-					if parent.Cycles() < slot-1 {
-						if status := parent.Run(slot - 1); status != machine.StatusRunning {
-							scanFail(&stop, errCh, fmt.Errorf(
-								"campaign: golden replay ended early at cycle %d (status %s), slot %d",
-								parent.Cycles(), status, slot))
-							break
-						}
-					}
-					forker.Fork()
-					children++
-					if err := flip(child, bit); err != nil {
-						scanFail(&stop, errCh, err)
-						break
-					}
-					o := runConverge(child, ladder, golden, budget, cfg.Objective, det, mr, st)
-					st.experiment(o, t0)
-					recs = append(recs, record{class: ci, outcome: o})
-				}
-				if len(recs) > 0 {
-					results <- recs
-				}
-				if st != nil {
-					st.forkChildren.Add(children)
-					st.forkSaved.Add(saved)
-				}
-				if spB.Live() {
-					spB.End(fmt.Sprintf("rung %d: %d classes", b.rung, len(b.classes)))
-				}
-			}
-		}()
-	}
-	collected := collectBatches(results, out, m)
-
-	feed := func() error {
-		for _, b := range batches {
-			select {
-			case <-cfg.Interrupt:
-				return ErrInterrupted
-			case err := <-errCh:
-				return err
-			case work <- b:
-			}
-		}
-		return nil
-	}
-	ferr := feed()
 	close(work)
 	wg.Wait()
 	close(results)

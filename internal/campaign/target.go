@@ -26,29 +26,14 @@ type Strategy uint8
 // Experiment-execution strategies.
 const (
 	// StrategySnapshot advances a single pioneer machine through the golden
-	// run and forks experiment machines at each injection slot. Each
-	// experiment only executes the cycles after the injection. Default.
+	// run and snapshots it at each injection slot, from which experiment
+	// machines restore. Each experiment only executes the cycles after the
+	// injection. Default.
 	StrategySnapshot Strategy = iota + 1
 	// StrategyRerun re-executes each experiment from the reset state. This
-	// is the naive mode, kept for validation and for the ablation benchmark.
+	// is the naive mode, kept as the reference the validation tests
+	// compare against and for the ablation benchmark.
 	StrategyRerun
-	// StrategyLadder captures delta snapshots ("rungs") of the golden run
-	// every LadderInterval cycles, then serves each experiment from the
-	// nearest rung at-or-below its injection slot: restore is a targeted
-	// dirty-page copy and only the remaining cycle delta is re-executed.
-	// Unlike StrategySnapshot it needs no feeder ordered by slot, so it is
-	// the strategy of choice for cluster workers running arbitrary class
-	// subsets (RunClasses).
-	StrategyLadder
-	// StrategyFork batches classes along ladder-rung boundaries in
-	// injection-cycle order: each worker restores the batch's rung ONCE,
-	// advances a cursor machine monotonically through the golden run, and
-	// at each injection cycle forks a cheap dirty-page-delta child
-	// (machine.Forker) to run only the faulty suffix — the golden prefix
-	// between injections is simulated once per batch instead of once per
-	// experiment (ladder replays rung→slot for every class). Fastest on
-	// full scans and dense class subsets; see DESIGN.md §4f.
-	StrategyFork
 )
 
 // String names the strategy as reports and run manifests spell it. The
@@ -57,10 +42,6 @@ func (s Strategy) String() string {
 	switch s {
 	case StrategyRerun:
 		return "rerun"
-	case StrategyLadder:
-		return "ladder"
-	case StrategyFork:
-		return "fork"
 	case StrategySnapshot, 0:
 		return "snapshot"
 	}
@@ -82,29 +63,19 @@ type Config struct {
 	Workers int
 	// Strategy selects the execution strategy. 0 means StrategySnapshot.
 	Strategy Strategy
-	// LadderInterval is the rung spacing in cycles for StrategyLadder
-	// and StrategyFork (which batches work along the same rungs):
-	// smaller intervals mean less delta re-execution per experiment but
-	// more snapshot memory. 0 auto-tunes from the golden-trace length
-	// (aiming at DefaultLadderRungs rungs, at least MinLadderInterval
-	// cycles apart). With Memo on the same spacing also sets the memo
-	// probe boundaries under every strategy; otherwise the other
-	// strategies ignore it. Like Strategy, it is outcome-invariant and
-	// deliberately not part of the campaign identity hash.
-	LadderInterval uint64
 	// Telemetry, when non-nil, receives scan metrics: the experiment
-	// counter, per-outcome duration histograms and the strategy-specific
-	// shortcut counters (see DESIGN.md §4d for the metric names). Like
-	// Strategy and Workers it is outcome-invariant — telemetry observes a
-	// campaign, never steers it — and is therefore excluded from the
-	// campaign identity hash (invariant 10). nil disables all
-	// instrumentation at zero cost.
+	// counter, per-outcome duration histograms and the memo counters
+	// (see DESIGN.md §4d for the metric names). Like Strategy and
+	// Workers it is outcome-invariant — telemetry observes a campaign,
+	// never steers it — and is therefore excluded from the campaign
+	// identity hash (invariant 10). nil disables all instrumentation at
+	// zero cost.
 	Telemetry *telemetry.Registry
 	// Spans, when non-nil, receives phase spans of the scan (strategy
-	// run, golden-prefix builds, fork batches) for the campaign timeline.
-	// Spans are recorded at phase granularity — never per experiment —
-	// and, like Telemetry, are purely observational: outcome-invariant
-	// and excluded from the campaign identity hash (invariant 15). nil
+	// run, golden-prefix feed) for the campaign timeline. Spans are
+	// recorded at phase granularity — never per experiment — and, like
+	// Telemetry, are purely observational: outcome-invariant and
+	// excluded from the campaign identity hash (invariant 15). nil
 	// disables span recording at zero cost (no clock reads, no allocs).
 	Spans *telemetry.SpanRecorder
 	// Predecode enables the machine's pre-decoded dispatch stream: the
@@ -115,7 +86,7 @@ type Config struct {
 	// outcome-invariant and excluded from the campaign identity hash.
 	Predecode bool
 	// Memo enables cross-experiment outcome memoization: post-injection
-	// machine states are hashed at rung-interval boundaries and "suffix
+	// machine states are hashed at fixed probe boundaries and "suffix
 	// state → outcome remainder" entries are shared across all
 	// experiments of the campaign (see memo.go). Outcome-invariant by
 	// construction (invariant 11) and excluded from the identity hash.
@@ -156,6 +127,11 @@ type Config struct {
 	// no new experiments start, in-flight ones finish and are recorded,
 	// and the scan returns ErrInterrupted.
 	Interrupt <-chan struct{}
+
+	// memoEvery, when non-zero, overrides the memo probe spacing (see
+	// memoInterval). Only in-package tests set it, to probe densely on
+	// programs shorter than memoMinInterval.
+	memoEvery uint64
 }
 
 // Defaults for Config.
@@ -163,27 +139,6 @@ const (
 	DefaultTimeoutFactor    = 4.0
 	DefaultTimeoutSlack     = 256
 	DefaultProgressInterval = time.Second
-
-	// DefaultLadderRungs is the rung count the LadderInterval auto-tuner
-	// aims for: interval = goldenCycles / DefaultLadderRungs. With
-	// 256-byte pages and delta capture, 256 rungs keep snapshot memory
-	// modest while bounding delta re-execution to ~0.4% of the golden
-	// run per experiment.
-	DefaultLadderRungs = 256
-	// MinLadderInterval floors the auto-tuned rung spacing so very short
-	// golden runs do not snapshot after every other instruction.
-	MinLadderInterval = 16
-
-	// DefaultForkRungs is the rung count the fork strategy's interval
-	// auto-tuner aims for. Fork rungs are never restore sources for
-	// experiments — the monotone cursor pays each rung restore once per
-	// batch, not once per class — so they only serve as convergence
-	// checkpoints and batch-carving anchors. Each checkpoint costs a
-	// Run-call boundary plus a StateMatches compare per in-flight child,
-	// while coarser spacing merely lets a reconverged child coast up to
-	// one interval past its convergence point; the balance lands at far
-	// fewer, far wider rungs than the ladder strategy wants.
-	DefaultForkRungs = 4
 )
 
 func (c Config) withDefaults() Config {
@@ -213,7 +168,7 @@ func (c Config) validate() error {
 		return fmt.Errorf("campaign: Workers %d must be >= 1", c.Workers)
 	}
 	switch c.Strategy {
-	case StrategySnapshot, StrategyRerun, StrategyLadder, StrategyFork:
+	case StrategySnapshot, StrategyRerun:
 	default:
 		return fmt.Errorf("campaign: unknown strategy %d", c.Strategy)
 	}
@@ -224,35 +179,6 @@ func (c Config) validate() error {
 // flag is set or the caller supplied a shared cache.
 func (c Config) memoEnabled() bool {
 	return c.Memo || c.MemoCache != nil
-}
-
-// ladderInterval returns the effective rung spacing for StrategyLadder:
-// the explicit LadderInterval, or an interval auto-tuned from the
-// golden-trace length.
-func (c Config) ladderInterval(goldenCycles uint64) uint64 {
-	if c.LadderInterval > 0 {
-		return c.LadderInterval
-	}
-	iv := goldenCycles / DefaultLadderRungs
-	if iv < MinLadderInterval {
-		iv = MinLadderInterval
-	}
-	return iv
-}
-
-// forkInterval returns the effective rung spacing for StrategyFork: an
-// explicit LadderInterval is honored verbatim, otherwise the auto-tuner
-// aims at DefaultForkRungs rungs (see that constant for why fork wants
-// much coarser rungs than ladder).
-func (c Config) forkInterval(goldenCycles uint64) uint64 {
-	if c.LadderInterval > 0 {
-		return c.LadderInterval
-	}
-	iv := goldenCycles / DefaultForkRungs
-	if iv < MinLadderInterval {
-		iv = MinLadderInterval
-	}
-	return iv
 }
 
 // timeoutBudget computes the per-experiment cycle budget.

@@ -18,34 +18,13 @@ type scanTel struct {
 	// spans is the campaign timeline recorder (nil = span tracing off).
 	// Deliberately independent of the instrument registry: a cluster
 	// worker can trace spans without keeping a metrics registry, and vice
-	// versa. Spans are phase-granular (strategy run, golden prefix, fork
-	// batches), never per experiment, so the hot path stays untouched.
+	// versa. Spans are phase-granular (strategy run, golden prefix),
+	// never per experiment, so the hot path stays untouched.
 	spans       *telemetry.SpanRecorder
 	experiments *telemetry.Counter
 	outcomes    [NumOutcomes]*telemetry.Histogram
 	// attacks counts attack-flagged outcomes (nil without an objective).
 	attacks *telemetry.Counter
-
-	// Ladder-strategy shortcut counters (nil under other strategies):
-	// rungRestores counts rung restores — one per experiment under
-	// ladder, one per batch under fork — reconverged counts runs whose
-	// outcome was composed from the golden trace after their state
-	// rejoined it, loopProofs counts Timeout verdicts proven by state
-	// recurrence instead of simulating the full budget. The fork
-	// strategy shares reconverged/loopProofs: its children run the same
-	// runConverge suffix driver.
-	rungRestores *telemetry.Counter
-	reconverged  *telemetry.Counter
-	loopProofs   *telemetry.Counter
-
-	// Fork-strategy counters (nil under other strategies): forkChildren
-	// counts forked child machines (one per experiment), forkSaved
-	// accumulates golden-prefix cycles NOT replayed versus the ladder
-	// strategy (cursor position minus batch rung cycle at each fork),
-	// forkBatches records batch sizes in classes.
-	forkChildren *telemetry.Counter
-	forkSaved    *telemetry.Counter
-	forkBatches  *telemetry.Histogram
 
 	// Memoization counters (nil with memoization off): memoHits counts
 	// experiments whose remainder was composed from a cached entry,
@@ -64,7 +43,6 @@ type scanTel struct {
 }
 
 // newScanTel resolves the scan instruments from the config's registry.
-// Call after withDefaults so cfg.Strategy is concrete.
 func newScanTel(cfg Config) *scanTel {
 	st := &scanTel{spans: cfg.Spans}
 	r := cfg.Telemetry
@@ -78,16 +56,6 @@ func newScanTel(cfg Config) *scanTel {
 	}
 	if cfg.Objective != nil {
 		st.attacks = r.Counter("scan.attacks")
-	}
-	if cfg.Strategy == StrategyLadder || cfg.Strategy == StrategyFork {
-		st.rungRestores = r.Counter("ladder.rung_restores")
-		st.reconverged = r.Counter("ladder.reconverged")
-		st.loopProofs = r.Counter("ladder.loop_proofs")
-	}
-	if cfg.Strategy == StrategyFork {
-		st.forkChildren = r.Counter("fork.children")
-		st.forkSaved = r.Counter("fork.prefix_cycles_saved")
-		st.forkBatches = r.Histogram("fork.batch_sizes")
 	}
 	if cfg.memoEnabled() {
 		st.memoHits = r.Counter("memo.hits")

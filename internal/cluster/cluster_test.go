@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -181,10 +183,10 @@ func TestClusterKillWorkerMidScan(t *testing.T) {
 }
 
 // TestClusterUnitOrderInvariance pins two properties of the unit
-// carving. First, every unit's class list is injection-ordered (the
-// fork worker's monotone-cursor precondition). Second, the order units
-// are GRANTED in must not matter: with the coordinator's pending queue
-// shuffled and a fork-strategy worker draining it, the merged outcome
+// carving. First, every unit's class list is injection-ordered (so a
+// snapshot worker feeds it from one golden replay). Second, the order
+// units are GRANTED in must not matter: with the coordinator's pending
+// queue shuffled and a snapshot-strategy worker draining it, the merged outcome
 // vector — and with it every archived report, which is a pure function
 // of target, space, identity and outcomes — stays byte-identical to a
 // local FullScan and to an unshuffled cluster run.
@@ -212,7 +214,7 @@ func TestClusterUnitOrderInvariance(t *testing.T) {
 			})
 		}
 		res, errs := runCluster(t, coord, []WorkerOptions{
-			{ID: "fork", Strategy: campaign.StrategyFork},
+			{ID: "snapshot", Strategy: campaign.StrategySnapshot},
 		})
 		if errs[0] != nil {
 			t.Fatal(errs[0])
@@ -380,5 +382,49 @@ func TestClusterMethodRejection(t *testing.T) {
 		if got := resp.Header.Get("Allow"); got != tc.allow {
 			t.Errorf("%s %s: Allow %q, want %q", tc.method, tc.path, got, tc.allow)
 		}
+	}
+}
+
+// TestServerClosesSlowLoris: a client that sends part of a request line
+// and then nothing more must be disconnected once ReadHeaderTimeout has
+// passed, instead of pinning a server goroutine and file descriptor for
+// good. The server is the coordinator's handler behind NewServer, the
+// constructor every HTTP server of the project goes through.
+func TestServerClosesSlowLoris(t *testing.T) {
+	tgt, golden, fs := testCampaign(t, "hi")
+	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
+		MaxGoldenCycles: testMaxGolden,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(coord.Handler())
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("POST /v1/lea")); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(ReadHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// ReadAll returns nil at EOF, i.e. once the server hangs up; hitting
+	// our own read deadline instead means the server kept the half-sent
+	// request open.
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("server did not close the stalled connection: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed < ReadHeaderTimeout-time.Second {
+		t.Errorf("connection closed after %v, before the %v header timeout", elapsed, ReadHeaderTimeout)
 	}
 }

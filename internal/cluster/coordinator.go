@@ -21,8 +21,7 @@ type Options struct {
 	// UnitSize is the number of equivalence classes per work unit
 	// (default DefaultUnitSize). Units are contiguous injection-ordered
 	// class-index ranges, so a snapshot-strategy worker replays each
-	// golden prefix once and a fork-strategy worker carves dense batches
-	// along rung boundaries.
+	// unit's golden prefix once.
 	UnitSize int
 	// LeaseTTL is how long a leased unit may go without a heartbeat or
 	// submission before it is reassigned (default DefaultLeaseTTL).
@@ -325,9 +324,8 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 	// Carve units in injection order: class indices are (Slot, Bit)-sorted
 	// by construction, and this stable sort turns that into an explicit
 	// contract of the carving rather than an accident of the pruning
-	// layer — fork-strategy workers batch each leased unit along rung
-	// boundaries and rely on ascending injection cycles for their monotone
-	// golden cursor (internal/campaign scanFork).
+	// layer — a snapshot-strategy worker feeds each leased unit in slot
+	// order from one golden replay that stops at the unit's last slot.
 	sort.SliceStable(todo, func(i, j int) bool {
 		return fs.Classes[todo[i]].Slot() < fs.Classes[todo[j]].Slot()
 	})
@@ -480,6 +478,25 @@ func (c *Coordinator) resultLocked() *campaign.Result {
 // maxBody bounds request bodies; submissions are the largest legitimate
 // message (a few bytes per class).
 const maxBody = 16 << 20
+
+// Connection timeouts of every HTTP server the project runs (see
+// NewServer). ReadHeaderTimeout bounds how long a client may take to
+// send its request line and headers, so a slow-loris connection that
+// trickles a partial request cannot pin a server goroutine forever;
+// IdleTimeout closes keep-alive connections idle between requests.
+// There is deliberately no ReadTimeout: bodies are bounded by maxBody,
+// and a large submission on a slow link must not be cut off.
+const (
+	ReadHeaderTimeout = 5 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewServer returns an HTTP server for h with the connection timeouts
+// above. The coordinator, the campaign service and favscan's /metrics
+// endpoint all serve through it.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
 
 // RequireMethod enforces the single allowed method of an endpoint,
 // answering anything else with 405 and an Allow header per RFC 9110.

@@ -121,7 +121,7 @@ func TestFleetTraceTimeline(t *testing.T) {
 	}
 	res, errs := runCluster(t, coord, []WorkerOptions{
 		{ID: "wa"},
-		{ID: "wb", Strategy: campaign.StrategyFork},
+		{ID: "wb", Strategy: campaign.StrategyRerun},
 	})
 	for i, err := range errs {
 		if err != nil {

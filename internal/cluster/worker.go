@@ -42,10 +42,6 @@ type WorkerOptions struct {
 	// snapshot). Deliberately free to differ from other workers — the
 	// strategy-equivalence invariant guarantees identical outcomes.
 	Strategy campaign.Strategy
-	// LadderInterval is the rung spacing for campaign.StrategyLadder
-	// (0 auto-tunes from the golden-trace length). Like Strategy, it is
-	// outcome-invariant and local to this worker.
-	LadderInterval uint64
 	// Predecode enables the simulator's pre-decoded dispatch stream on
 	// this worker's machines. Outcome-invariant and local to this worker.
 	Predecode bool
@@ -193,7 +189,6 @@ func (w *worker) rebuild(spec Spec) error {
 	pool.Instrument(w.opts.Telemetry)
 	cfg.Workers = w.opts.Workers
 	cfg.Strategy = w.opts.Strategy
-	cfg.LadderInterval = w.opts.LadderInterval
 	cfg.Predecode = w.opts.Predecode
 	cfg.Interrupt = w.opts.Interrupt
 	cfg.Telemetry = w.opts.Telemetry

@@ -12,10 +12,11 @@ import (
 // the attack-style fault models (instruction skip, PC corruption,
 // multi-bit bursts) the pruned, accelerated scan must agree with brute
 // force at every raw fault-space coordinate. One pruned scan runs with
-// every accelerator the campaign layer has (snapshot forking, predecode,
-// memoization); then each randomly drawn raw coordinate (slot, bit) is
-// re-executed on a fresh plain machine — no pruning, no predecode, no
-// memo, rerun-from-reset — and the two outcomes are compared:
+// every accelerator the campaign layer has (the snapshot strategy,
+// predecode, memoization); then each randomly drawn raw coordinate
+// (slot, bit) is re-executed on a fresh plain machine — no pruning, no
+// predecode, no memo, rerun-from-reset — and the two outcomes are
+// compared:
 //
 //   - coordinates Locate maps to an equivalence class must reproduce the
 //     class outcome byte-identically (including the attack flag), and

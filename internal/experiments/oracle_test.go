@@ -9,11 +9,8 @@ import (
 
 // runOracle drives the differential oracle for one space/objective pair
 // and fails the test on any scan/brute-force disagreement (invariant 13).
+// The scan runs the default strategy (snapshot).
 func runOracle(t *testing.T, space faultspace.SpaceKind, objective string, n int) *OracleReport {
-	return runOracleStrategy(t, space, objective, 0, n)
-}
-
-func runOracleStrategy(t *testing.T, space faultspace.SpaceKind, objective string, strat faultspace.Strategy, n int) *OracleReport {
 	t.Helper()
 	p, err := progs.Hi().Baseline()
 	if err != nil {
@@ -22,7 +19,6 @@ func runOracleStrategy(t *testing.T, space faultspace.SpaceKind, objective strin
 	rep, err := RandomCoordinateOracle(p, faultspace.ScanOptions{
 		Space:     space,
 		Objective: objective,
-		Strategy:  strat,
 	}, n, 0xfa17)
 	if err != nil {
 		t.Fatal(err)
@@ -64,33 +60,6 @@ func TestOracleRandomCoordinatesBurst(t *testing.T) {
 		rep := runOracle(t, space, "corrupt", 200)
 		if rep.InClass == 0 || rep.Pruned == 0 {
 			t.Errorf("%s: degenerate draw: %d in-class, %d pruned", space, rep.InClass, rep.Pruned)
-		}
-	}
-}
-
-// TestOracleRandomCoordinatesFork is invariant 14's oracle leg: the
-// fully-accelerated FORK-strategy scan must agree with the plain
-// rerun-from-reset brute force at random raw coordinates, across all
-// six fault spaces. The skip space runs under the dos objective so the
-// attack flag crosses the fork path too.
-func TestOracleRandomCoordinatesFork(t *testing.T) {
-	for _, tc := range []struct {
-		space     faultspace.SpaceKind
-		objective string
-	}{
-		{faultspace.SpaceMemory, ""},
-		{faultspace.SpaceRegisters, ""},
-		{faultspace.SpaceSkip, "dos"},
-		{faultspace.SpacePC, ""},
-		{faultspace.SpaceBurst2, ""},
-		{faultspace.SpaceBurst4, ""},
-	} {
-		rep := runOracleStrategy(t, tc.space, tc.objective, faultspace.StrategyFork, 200)
-		// hi's live-register region is a sliver of slots × 512 bits, so a
-		// random register draw legitimately lands all-pruned; every other
-		// space must exercise both sides of the partition.
-		if rep.InClass == 0 && tc.space != faultspace.SpaceRegisters {
-			t.Errorf("%s: no coordinate hit a class", tc.space)
 		}
 	}
 }

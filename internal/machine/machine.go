@@ -196,11 +196,6 @@ type Machine struct {
 	hook      MemHook
 	execHook  ExecHook
 
-	// dirty tracks RAM pages written since the last resetDirty, as a
-	// bitset over PageSize-byte pages. Ladder rung capture and Cursor
-	// restore use it to touch only mutated pages (see ladder.go).
-	dirty []uint64
-
 	// Timer-interrupt state.
 	inIRQ   bool
 	savedPC uint32
@@ -209,9 +204,7 @@ type Machine struct {
 	// skipNext, when set, makes the next Step retire without executing
 	// its instruction: the instruction-skip fault model (FlipSkip). The
 	// flag is one-shot and always consumed before the machine reaches a
-	// rung boundary, memo probe or loop probe, so it is deliberately
-	// excluded from HashExecState, StateMatches and the loop detector's
-	// recurrence state.
+	// memo probe, so it is deliberately excluded from HashExecState.
 	skipNext bool
 
 	// codeLen is the program length in instructions; pc ∈ [0, codeLen)
@@ -254,7 +247,6 @@ func New(cfg Config, prog []isa.Instruction, image []byte) (*Machine, error) {
 		status:    StatusRunning,
 		maxSerial: maxSerial,
 		fireAt:    cfg.TimerPeriod,
-		dirty:     make([]uint64, (numPages(cfg.RAMSize)+63)/64),
 		codeLen:   uint32(len(prog)),
 	}
 	copy(m.ram, image)
@@ -330,7 +322,6 @@ func (m *Machine) FlipBit(bit uint64) error {
 		return fmt.Errorf("machine: bit %d outside RAM (%d bits)", bit, m.RAMBits())
 	}
 	m.ram[bit/8] ^= 1 << (bit % 8)
-	m.markDirty(uint32(bit / 8))
 	if m.vn {
 		m.invalidateCode(uint32(bit/8), 1)
 	}
@@ -396,7 +387,6 @@ func (m *Machine) FlipBurst(k int, pos uint64) error {
 			pos, len(m.ram), p)
 	}
 	m.ram[b] ^= byte((1<<k - 1) << (pos % p))
-	m.markDirty(uint32(b))
 	if m.vn {
 		m.invalidateCode(uint32(b), 1)
 	}
@@ -680,9 +670,6 @@ func (m *Machine) storeWord(cycle uint64, addr uint32, v uint32) Exception {
 		m.ram[addr+1] = byte(v >> 8)
 		m.ram[addr+2] = byte(v >> 16)
 		m.ram[addr+3] = byte(v >> 24)
-		// PageSize is a multiple of 4 and the access is aligned, so the
-		// word lies within one page.
-		m.markDirty(addr)
 		if m.vn {
 			m.invalidateCode(addr, 4)
 		}
@@ -700,7 +687,6 @@ func (m *Machine) storeByte(cycle uint64, addr uint32, v byte) Exception {
 			m.hook(cycle, addr, 1, AccessWrite)
 		}
 		m.ram[addr] = v
-		m.markDirty(addr)
 		if m.vn {
 			m.invalidateCode(addr, 1)
 		}

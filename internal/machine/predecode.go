@@ -177,7 +177,6 @@ func NewVonNeumann(cfg Config, prog []isa.Instruction, image []byte, codeBase ui
 		status:    StatusRunning,
 		maxSerial: maxSerial,
 		fireAt:    cfg.TimerPeriod,
-		dirty:     make([]uint64, (numPages(cfg.RAMSize)+63)/64),
 		vn:        true,
 		codeBase:  codeBase,
 		codeLen:   uint32(len(prog)),
@@ -454,7 +453,6 @@ func (m *Machine) runChunk(limit uint64) {
 				ram[addr+1] = byte(v >> 8)
 				ram[addr+2] = byte(v >> 16)
 				ram[addr+3] = byte(v >> 24)
-				m.markDirty(addr)
 				if valid != nil {
 					m.invalidateCode(addr, 4)
 				}
@@ -479,7 +477,6 @@ func (m *Machine) runChunk(limit uint64) {
 			}
 			if int(addr) < len(ram) {
 				ram[addr] = v
-				m.markDirty(addr)
 				if valid != nil {
 					m.invalidateCode(addr, 1)
 				}

@@ -1,11 +1,46 @@
 package machine
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
 	"faultspace/internal/isa"
 )
+
+// stateHash digests the complete mutable machine state. Two machines with
+// equal hashes are indistinguishable to any campaign observer.
+func stateHash(m *Machine) [32]byte {
+	h := sha256.New()
+	h.Write(m.ram)
+	var buf [8]byte
+	wr := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, r := range m.regs {
+		wr(uint64(r))
+	}
+	wr(uint64(m.pc))
+	wr(m.cycles)
+	wr(uint64(m.status))
+	wr(uint64(m.exc))
+	wr(uint64(len(m.serial)))
+	h.Write(m.serial)
+	wr(m.detects)
+	wr(m.corrects)
+	if m.inIRQ {
+		wr(1)
+	} else {
+		wr(0)
+	}
+	wr(uint64(m.savedPC))
+	wr(m.fireAt)
+	var out [32]byte
+	copy(out[:], h.Sum(nil))
+	return out
+}
 
 // buildBranchyProgram generates a random program exercising the whole
 // dispatch surface the predecode fast path lowers: ALU ops, loads and

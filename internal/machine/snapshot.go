@@ -1,7 +1,7 @@
 package machine
 
 // Snapshot is a full copy of the mutable machine state. Snapshots let the
-// campaign engine fork a run at an injection slot instead of re-executing
+// campaign engine resume a run at an injection slot instead of re-executing
 // the prefix from the reset state for every experiment.
 type Snapshot struct {
 	ram      []byte
@@ -50,10 +50,8 @@ func (m *Machine) Restore(s *Snapshot) {
 		panic("machine: Restore with mismatched RAM size")
 	}
 	copy(m.ram, s.ram)
-	// A full restore rewrites all of RAM; conservatively mark every page
-	// dirty so any Cursor attached to this machine stays correct, and
-	// drop any cached code lowerings on von Neumann machines.
-	m.markAllDirty()
+	// A full restore rewrites all of RAM: drop any cached code lowerings
+	// on von Neumann machines.
 	if m.vn {
 		m.invalidateAllCode()
 	}
@@ -92,16 +90,12 @@ func (m *Machine) Clone() *Machine {
 		savedPC:   m.savedPC,
 		fireAt:    m.fireAt,
 		skipNext:  m.skipNext,
-		dirty:     make([]uint64, len(m.dirty)),
 		codeLen:   m.codeLen,
 		vn:        m.vn,
 		codeBase:  m.codeBase,
 	}
 	copy(c.ram, m.ram)
 	copy(c.serial, m.serial)
-	// The clone has no delta-snapshot history; mark all pages dirty so a
-	// future Cursor on it never assumes a shared baseline.
-	c.markAllDirty()
 	// The predecode cache is derived state; rebuild it from the clone's
 	// own RAM/ROM rather than aliasing the source machine's.
 	if m.pre != nil {

@@ -7,10 +7,9 @@ import (
 
 // This file exposes the machine's behavior-relevant execution state to
 // the campaign layer's cross-experiment memoization (see
-// internal/campaign/memo.go). The state definition is exactly the loop
-// detector's (loop.go): the machine is deterministic, so two running
-// machines of the same configuration and program that agree on this
-// state — at the same retired-cycle count — execute identical
+// internal/campaign/memo.go). The machine is deterministic, so two
+// running machines of the same configuration and program that agree on
+// this state — at the same retired-cycle count — execute identical
 // continuations. Serial CONTENT and the detect/correct counters are
 // excluded (MMIO ports are write-only, so they can never influence
 // execution), but the serial LENGTH is included because the serial cap
@@ -37,9 +36,8 @@ func (m *Machine) AppendSerialSuffix(dst []byte, from int) []byte {
 // The machine must be running; the retired-cycle count is deliberately
 // NOT written (callers key it separately, so "same state at the same
 // cycle" and the hash compose into a full identity). The timer distance
-// is clamped like LoopDetector's: an overdue timer fires at the next
-// boundary no matter how overdue, so all "already due" states behave
-// identically.
+// is clamped (see timerRel): an overdue timer fires at the next boundary
+// no matter how overdue, so all "already due" states behave identically.
 func (m *Machine) HashExecState(h *maphash.Hash) {
 	var buf [96]byte
 	binary.LittleEndian.PutUint32(buf[0:], m.pc)
@@ -54,4 +52,15 @@ func (m *Machine) HashExecState(h *maphash.Hash) {
 	binary.LittleEndian.PutUint64(buf[81:], uint64(len(m.serial)))
 	h.Write(buf[:89])
 	h.Write(m.ram)
+}
+
+// timerRel returns the behavior-relevant distance to the next timer
+// fire: an overdue timer fires at the next opportunity no matter how
+// overdue it is, so all "already due" states clamp to zero. With the
+// timer disabled the field is inert and reads as zero.
+func (m *Machine) timerRel() uint64 {
+	if m.cfg.TimerPeriod > 0 && m.fireAt > m.cycles {
+		return m.fireAt - m.cycles
+	}
+	return 0
 }

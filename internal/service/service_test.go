@@ -579,12 +579,13 @@ func localReportSpace(t testing.TB, name string, kind pruning.SpaceKind, objecti
 	return buf.Bytes()
 }
 
-// TestFleetForkStrategy runs a fleet whose workers execute their leased
-// units under the fork strategy: the service-produced report must stay
-// byte-identical to a local scan (invariant 8/12 for the fourth
-// strategy), and the campaign's own telemetry must show the fork path
-// actually ran — children forked and golden-prefix cycles saved.
-func TestFleetForkStrategy(t *testing.T) {
+// TestFleetRerunStrategy runs a fleet whose worker executes its leased
+// units under the rerun reference strategy: the service-produced report
+// must stay byte-identical to a local snapshot scan (invariant 8/12
+// across strategies), and the campaign's own telemetry must show the
+// rerun path actually ran — one pooled machine per executor, with no
+// pioneer machine for a golden replay.
+func TestFleetRerunStrategy(t *testing.T) {
 	spec := testSpec(t, "bin_sem2", 0)
 	want := localReport(t, "bin_sem2", 0)
 
@@ -596,10 +597,10 @@ func TestFleetForkStrategy(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		JoinFleet(srv.URL, FleetOptions{
-			ID:           "fork-fleet",
+			ID:           "rerun-fleet",
 			PollInterval: 10 * time.Millisecond,
 			Interrupt:    intr,
-			Worker:       cluster.WorkerOptions{Strategy: campaign.StrategyFork},
+			Worker:       cluster.WorkerOptions{Workers: 1, Strategy: campaign.StrategyRerun},
 			TelemetryFor: func(s cluster.Spec) *telemetry.Registry {
 				return svc.CampaignTelemetry(s.Identity)
 			},
@@ -619,14 +620,11 @@ func TestFleetForkStrategy(t *testing.T) {
 		t.Fatalf("state %s cached %v, want a live done run", st.State, st.Cached)
 	}
 	if got := fetchReport(t, srv.URL, st.ID); !bytes.Equal(got, want) {
-		t.Fatal("fork-fleet report differs from local scan (invariant 8/12 broken)")
+		t.Fatal("rerun-fleet report differs from local scan (invariant 8/12 broken)")
 	}
 	reg := svc.CampaignTelemetry(spec.Identity)
-	if reg.Counter("fork.children").Value() == 0 {
-		t.Error("fork.children = 0 — the fleet worker did not take the fork path")
-	}
-	if reg.Counter("fork.prefix_cycles_saved").Value() == 0 {
-		t.Error("fork.prefix_cycles_saved = 0 — no golden prefix was shared across a batch")
+	if got := reg.Counter("pool.alloc").Value(); got != 1 {
+		t.Errorf("pool.alloc = %d, want 1 — a single-executor rerun worker allocates no pioneer machine", got)
 	}
 	svc.Shutdown()
 }

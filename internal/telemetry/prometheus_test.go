@@ -89,7 +89,7 @@ func TestPromNameMangling(t *testing.T) {
 	cases := map[string]string{
 		"scan.experiments":     "faultspace_scan_experiments",
 		"memo.hits":            "faultspace_memo_hits",
-		"fork.children":        "faultspace_fork_children",
+		"pool.alloc":           "faultspace_pool_alloc",
 		"weird-name+x":         "faultspace_weird_name_x",
 		"cluster.worker.ready": "faultspace_cluster_worker_ready",
 	}

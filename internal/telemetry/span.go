@@ -12,7 +12,7 @@ import (
 )
 
 // DefaultSpanCapacity bounds a SpanRecorder when NewSpanRecorder is
-// called with capacity <= 0. Spans are recorded at unit/rung/batch
+// called with capacity <= 0. Spans are recorded at unit/phase
 // granularity — not per experiment — so even long campaigns stay well
 // under this; when they don't, Dropped() makes the truncation explicit.
 const DefaultSpanCapacity = 4096

@@ -242,7 +242,7 @@ func TestManifestWriteFile(t *testing.T) {
 		Benchmark: "bin_sem2",
 		Identity:  "deadbeef",
 		Space:     "memory",
-		Strategy:  "ladder",
+		Strategy:  "rerun",
 		Classes:   10,
 		Workers:   2,
 	}

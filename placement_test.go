@@ -27,9 +27,13 @@ func serveAndJoin(t *testing.T, prog *Program, opts ServeOptions, nWorkers int) 
 		for i := 0; i < nWorkers; i++ {
 			go func(i int) {
 				defer wg.Done()
+				strategy := StrategySnapshot
+				if i%2 == 1 {
+					strategy = StrategyRerun // mixed strategies across the cluster
+				}
 				workerErrs[i] = JoinScan(addr, JoinOptions{
 					WorkerID: string(rune('a' + i)),
-					Rerun:    i%2 == 1, // mixed strategies across the cluster
+					Strategy: strategy,
 				})
 			}(i)
 		}

@@ -117,7 +117,7 @@ func ServeCampaigns(addr string, opts CampaignServiceOptions) error {
 	if opts.OnListen != nil {
 		opts.OnListen(bound)
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := cluster.NewServer(svc.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
@@ -130,11 +130,10 @@ func ServeCampaigns(addr string, opts CampaignServiceOptions) error {
 			err := service.JoinFleet("http://"+bound, service.FleetOptions{
 				ID: fmt.Sprintf("local%d", n),
 				Worker: cluster.WorkerOptions{
-					Workers:        w.Workers,
-					Strategy:       w.Strategy,
-					LadderInterval: w.LadderInterval,
-					Predecode:      w.Predecode,
-					Memo:           w.Memo,
+					Workers:   w.Workers,
+					Strategy:  w.Strategy,
+					Predecode: w.Predecode,
+					Memo:      w.Memo,
 				},
 				Interrupt: opts.Interrupt,
 				// Point each assigned campaign's engine counters at that
@@ -294,15 +293,11 @@ type FleetOptions struct {
 // JoinOptions.Interrupt fires.
 func JoinServiceFleet(addr string, opts FleetOptions) error {
 	wopts := cluster.WorkerOptions{
-		Workers:        opts.Workers,
-		Strategy:       opts.Strategy,
-		LadderInterval: opts.LadderInterval,
-		Predecode:      opts.Predecode,
-		Memo:           opts.Memo,
-		Telemetry:      opts.Telemetry,
-	}
-	if wopts.Strategy == 0 && opts.Rerun {
-		wopts.Strategy = StrategyRerun
+		Workers:   opts.Workers,
+		Strategy:  opts.Strategy,
+		Predecode: opts.Predecode,
+		Memo:      opts.Memo,
+		Telemetry: opts.Telemetry,
 	}
 	err := service.JoinFleet(normalizeURL(addr), service.FleetOptions{
 		ID:           opts.WorkerID,
