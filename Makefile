@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check vet build test race race-service race-spaces race-observability fuzz-smoke bench bench-telemetry bench-smoke
+.PHONY: check vet build test race race-service race-spaces race-observability race-memo fuzz-smoke bench bench-telemetry bench-smoke
 
 # check is the tier-1 gate: everything a PR must keep green.
-check: vet build test race race-service race-spaces race-observability fuzz-smoke bench-telemetry bench-smoke
+check: vet build test race race-service race-spaces race-observability race-memo fuzz-smoke bench-telemetry bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -48,6 +48,14 @@ race-spaces:
 race-observability:
 	$(GO) test -race -count=2 -run='TestFleetTraceTimeline|TestWatchdogFlagsStragglerWorker|TestWindowedWorkerRates|TestCoordinatorMetricsExposition' ./internal/cluster
 	$(GO) test -race -count=2 -run='TestServiceTraceAndMetrics|TestStarvedTenantWatchdog' ./internal/service
+
+# Memoization under the race detector: the campaign's admission state
+# (warm-up tallies and the decision they settle) lives in the shared
+# MemoCache, read and written by every scan worker and by concurrent
+# RunClasses calls — the memo tests drive both, and -count=2 shakes out
+# ordering-dependent races, exactly like race-service.
+race-memo:
+	$(GO) test -race -count=2 -run=TestMemo ./internal/campaign
 
 # A short deterministic-corpus + 10s randomized smoke of the attack
 # surfaces: the binary decoders exposed to untrusted bytes

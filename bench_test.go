@@ -299,22 +299,16 @@ func BenchmarkFullScan(b *testing.B) {
 		name      string
 		strat     faultspace.Strategy
 		predecode bool
-		memo      bool
-		trace     bool
 	}{
-		// The plain pair tracks the historical baselines; the +pre and
-		// +pre+memo variants quantify the accelerator layers on top. Their
-		// memo.hits / memo.misses / predecode.invalidations counters land
-		// in BENCH_scan.json alongside the timings they explain. The +trace
-		// rows rerun the fully-accelerated configurations with span tracing
-		// enabled, so the perf log tracks the cost of an observed scan next
-		// to the blind one it must stay within noise of (invariant 15 pins
-		// the outputs identical; these rows pin the timing honest).
-		{"snapshot", faultspace.StrategySnapshot, false, false, false},
-		{"rerun", faultspace.StrategyRerun, false, false, false},
-		{"snapshot+pre", faultspace.StrategySnapshot, true, false, false},
-		{"snapshot+pre+memo", faultspace.StrategySnapshot, true, true, false},
-		{"snapshot+pre+memo+trace", faultspace.StrategySnapshot, true, true, true},
+		// The plain pair tracks the historical baselines; the +pre rows
+		// quantify the pre-decoded dispatch stream on top. Every snapshot
+		// row memoizes as its campaign's admission decides — these
+		// baselines are refused after the warm-up — and the memo.* and
+		// predecode.invalidations counters land in BENCH_scan.json
+		// alongside the timings they explain.
+		{"snapshot", faultspace.StrategySnapshot, false},
+		{"rerun", faultspace.StrategyRerun, false},
+		{"snapshot+pre", faultspace.StrategySnapshot, true},
 	}
 	for _, bench := range benches {
 		p, err := bench.spec.Baseline()
@@ -323,14 +317,24 @@ func BenchmarkFullScan(b *testing.B) {
 		}
 		for _, st := range strategies {
 			b.Run(bench.name+"/"+st.name, func(b *testing.B) {
-				runFullScanBench(b, p, bench.name, st.name, st.trace, faultspace.ScanOptions{
+				runFullScanBench(b, p, bench.name, st.name, faultspace.ScanOptions{
 					Strategy:  st.strat,
 					Predecode: st.predecode,
-					Memo:      st.memo,
 				})
 			})
 		}
 	}
+
+	// The SUM+DMR variant of bin_sem2, whose corrected faults rejoin a few
+	// continuations: the row shows an admitted campaign (memo.admitted = 1,
+	// memo.hits and memo.saved_cycles large) next to the refused baselines.
+	hard, err := benches[0].spec.Hardened()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run(benches[0].name+"+sumdmr/snapshot+pre", func(b *testing.B) {
+		runFullScanBench(b, hard, benches[0].name+"+sumdmr", "snapshot+pre", faultspace.ScanOptions{Predecode: true})
+	})
 
 	// Attack-space variants: the instruction-skip, PC-corruption and
 	// multi-bit burst models under the recommended accelerated
@@ -350,7 +354,7 @@ func BenchmarkFullScan(b *testing.B) {
 	}
 	for _, sp := range spaces {
 		b.Run(benches[0].name+"/"+sp.name+"/snapshot+pre", func(b *testing.B) {
-			runFullScanBench(b, p, benches[0].name, "snapshot+pre", false, faultspace.ScanOptions{
+			runFullScanBench(b, p, benches[0].name, "snapshot+pre", faultspace.ScanOptions{
 				Space:     sp.space,
 				Predecode: true,
 			})
@@ -360,14 +364,11 @@ func BenchmarkFullScan(b *testing.B) {
 
 // runFullScanBench times one scan configuration and records the result
 // (with its per-op telemetry counters) for BENCH_scan.json.
-func runFullScanBench(b *testing.B, p *faultspace.Program, benchName, stratName string, trace bool, opts faultspace.ScanOptions) {
+func runFullScanBench(b *testing.B, p *faultspace.Program, benchName, stratName string, opts faultspace.ScanOptions) {
 	// The scans run instrumented: telemetry is designed to be free (see
 	// BenchmarkTelemetryOverhead), and its counters land in
 	// BENCH_scan.json next to the timing they explain.
 	reg := faultspace.NewTelemetry()
-	if trace {
-		reg.EnableSpans(faultspace.NewTraceID(), "bench", 0)
-	}
 	opts.Telemetry = reg
 	classes := 0
 	for i := 0; i < b.N; i++ {
@@ -376,12 +377,6 @@ func runFullScanBench(b *testing.B, p *faultspace.Program, benchName, stratName 
 			b.Fatal(err)
 		}
 		classes = len(res.Outcomes)
-		if trace {
-			// Drain per iteration, as a fleet worker does per submission;
-			// otherwise the recorder fills and later iterations measure the
-			// cheaper drop path instead of span recording.
-			reg.SpanRecorder().Drain()
-		}
 	}
 	counters := make(map[string]float64)
 	for name, v := range reg.Snapshot().Counters {

@@ -196,10 +196,6 @@ type JoinOptions struct {
 	// Predecode enables the simulator's pre-decoded dispatch stream on
 	// this worker's machines. Outcome-invariant and local to this worker.
 	Predecode bool
-	// Memo enables cross-experiment outcome memoization, with one cache
-	// per campaign shared across all units this worker leases.
-	// Outcome-invariant and local to this worker.
-	Memo bool
 	// Interrupt, when closed, makes the worker die abruptly mid-unit
 	// without submitting — the crash the coordinator's lease expiry must
 	// absorb.
@@ -224,7 +220,6 @@ func JoinScan(addr string, opts JoinOptions) error {
 		Workers:   opts.Workers,
 		Strategy:  opts.Strategy,
 		Predecode: opts.Predecode,
-		Memo:      opts.Memo,
 		Interrupt: opts.Interrupt,
 		Logf:      opts.Logf,
 		Telemetry: opts.Telemetry,

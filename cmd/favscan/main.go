@@ -65,7 +65,6 @@ func run(args []string, w, errW io.Writer) error {
 		effect   = fs.Bool("effective", false, "sample the reduced population w' (Corollary 1)")
 		strategy = fs.String("strategy", "snapshot", "experiment strategy: snapshot, or rerun (the unaccelerated reference)")
 		predec   = fs.Bool("predecode", true, "execute via the pre-decoded dispatch stream (outcome-invariant; -predecode=false for the plain decoder)")
-		memo     = fs.Bool("memo", false, "memoize experiment remainders across the campaign (outcome-invariant, invariant 11)")
 		space    = fs.String("space", "memory", "fault space: memory, registers (§VI-B), skip, pc, burst2 or burst4")
 		objFl    = fs.String("objective", "", "attacker objective evaluated on every outcome: bypass, corrupt or dos (default none)")
 		workers  = fs.Int("workers", 0, "parallel experiment executors (0 = GOMAXPROCS)")
@@ -157,7 +156,6 @@ func run(args []string, w, errW io.Writer) error {
 			Workers:   *workers,
 			Strategy:  strat,
 			Predecode: *predec,
-			Memo:      *memo,
 		}
 		if *progress {
 			jopts.Logf = func(format string, args ...any) {
@@ -192,7 +190,6 @@ func run(args []string, w, errW io.Writer) error {
 			Workers:   *workers,
 			Strategy:  strat,
 			Predecode: *predec,
-			Memo:      *memo,
 		}}
 		if *progress {
 			fopts.Logf = func(format string, args ...any) {
@@ -264,7 +261,6 @@ func run(args []string, w, errW io.Writer) error {
 		Workers:   *workers,
 		Strategy:  strat,
 		Predecode: *predec,
-		Memo:      *memo,
 		Space:     spaceKind,
 		Objective: *objFl,
 	}

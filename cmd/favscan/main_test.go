@@ -251,6 +251,9 @@ func TestFlagValidationUpfront(t *testing.T) {
 		{[]string{"-strategy", "fork", "hi"}, "valid: snapshot, rerun"},
 		{[]string{"-rerun", "hi"}, "flag provided but not defined: -rerun"},
 		{[]string{"-ladder-interval", "64", "hi"}, "flag provided but not defined: -ladder-interval"},
+		// Memoization has no switch: every snapshot campaign decides
+		// for itself whether memo pays.
+		{[]string{"-memo", "hi"}, "flag provided but not defined: -memo"},
 		{[]string{"-serve", ":0", "-join", "x:1", "hi"}, "mutually exclusive"},
 		{[]string{"-serve", ":0", "-sample", "10", "hi"}, "full scans only"},
 		{[]string{"-join", "x:1", "hi"}, "no benchmark argument"},

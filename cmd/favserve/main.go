@@ -55,7 +55,6 @@ func run(args []string, w, errW io.Writer) error {
 		parallel   = fs.Int("parallel", 0, "experiment executors per in-process worker (0 = GOMAXPROCS)")
 		rerun      = fs.Bool("rerun", false, "in-process workers use the rerun-from-start strategy")
 		predec     = fs.Bool("predecode", true, "in-process workers execute via the pre-decoded dispatch stream")
-		memo       = fs.Bool("memo", false, "in-process workers memoize experiment remainders per campaign")
 		verbose    = fs.Bool("verbose", false, "log campaign and worker life-cycle events to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -101,7 +100,6 @@ func run(args []string, w, errW io.Writer) error {
 			Workers:   *parallel,
 			Strategy:  strategy,
 			Predecode: *predec,
-			Memo:      *memo,
 		},
 		Interrupt: intCh,
 		Telemetry: reg,

@@ -37,6 +37,16 @@ func TestRejectsPositionalArgs(t *testing.T) {
 	}
 }
 
+// TestFlagValidationUpfront: retired flags fail before the service
+// starts. Memoization has no switch — every snapshot campaign decides
+// for itself whether memo pays.
+func TestFlagValidationUpfront(t *testing.T) {
+	err := run([]string{"-memo"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -memo") {
+		t.Errorf("run(-memo): error %v, want the flag to be undefined", err)
+	}
+}
+
 // syncBuffer collects child stderr safely across goroutines.
 type syncBuffer struct {
 	mu sync.Mutex

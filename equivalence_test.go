@@ -39,6 +39,20 @@ func equivProgram(t *testing.T, name string) *Program {
 	return prog
 }
 
+// equivHardened is equivProgram's SUM+DMR variant.
+func equivHardened(t *testing.T, name string) *Program {
+	t.Helper()
+	spec, err := progs.Resolve(name, equivSizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := spec.Hardened()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
 func assertSameOutcomes(t *testing.T, label string, want, got *ScanResult) {
 	t.Helper()
 	if len(want.Outcomes) != len(got.Outcomes) {
@@ -67,12 +81,15 @@ func scanBytes(t *testing.T, res *ScanResult) []byte {
 
 // TestStrategyEquivalenceAllBenchmarks is the differential strategy-
 // equivalence matrix (DESIGN.md invariants 9 and 11): for every bundled
-// benchmark × every fault-space kind, the full
-// {snapshot, rerun} × {predecode on/off} × {memo on/off} grid — plus
+// benchmark, plus the SUM+DMR variant of sort1, × every fault-space
+// kind, the {snapshot, rerun} × {predecode on/off} grid — plus
 // telemetry-instrumented and span-traced variants — must archive
-// byte-identically to the naive plain-decoder rerun reference. This is
-// the invariant that justifies excluding Strategy, Predecode and Memo
-// from the campaign identity hash.
+// byte-identically to the naive plain-decoder rerun reference. Snapshot
+// rows memoize as their campaign's admission decides; the SUM+DMR
+// program's instrumented snapshot row must actually hit the memo cache,
+// so the grid never silently loses its memo coverage. This is the
+// invariant that justifies excluding Strategy, Predecode and
+// memoization from the campaign identity hash.
 func TestStrategyEquivalenceAllBenchmarks(t *testing.T) {
 	strategies := []struct {
 		name string
@@ -81,9 +98,19 @@ func TestStrategyEquivalenceAllBenchmarks(t *testing.T) {
 		{"snapshot", StrategySnapshot},
 		{"rerun", StrategyRerun},
 	}
+	type program struct {
+		name string
+		prog *Program
+	}
+	var programs []program
 	for _, name := range progs.Names() {
-		t.Run(name, func(t *testing.T) {
-			prog := equivProgram(t, name)
+		programs = append(programs, program{name, equivProgram(t, name)})
+	}
+	const hardened = "sort1+sumdmr"
+	programs = append(programs, program{hardened, equivHardened(t, "sort1")})
+	for _, pr := range programs {
+		t.Run(pr.name, func(t *testing.T) {
+			prog := pr.prog
 			for _, space := range []SpaceKind{SpaceMemory, SpaceRegisters,
 				SpaceSkip, SpacePC, SpaceBurst2, SpaceBurst4} {
 				rerun, err := Scan(prog, ScanOptions{Space: space, Strategy: StrategyRerun})
@@ -98,30 +125,25 @@ func TestStrategyEquivalenceAllBenchmarks(t *testing.T) {
 					trace bool
 				}
 				var cases []tcase
-				// The full accelerator grid: every strategy with every
-				// combination of the pre-decoded dispatch stream and the
-				// cross-experiment memo cache (invariant 11).
+				// The accelerator grid: every strategy with and without the
+				// pre-decoded dispatch stream.
 				for _, strat := range strategies {
 					for _, pre := range []bool{false, true} {
-						for _, memo := range []bool{false, true} {
-							cases = append(cases, tcase{
-								label: fmt.Sprintf("%s/pre=%t/memo=%t", strat.name, pre, memo),
-								opts: ScanOptions{Space: space, Strategy: strat.s,
-									Predecode: pre, Memo: memo},
-							})
-						}
+						cases = append(cases, tcase{
+							label: fmt.Sprintf("%s/pre=%t", strat.name, pre),
+							opts:  ScanOptions{Space: space, Strategy: strat.s, Predecode: pre},
+						})
 					}
 				}
 				// Invariant 10: telemetry observes a campaign, never steers
-				// it — instrumented scans of every strategy, with both
-				// accelerators on, must archive byte-identically to the
-				// uninstrumented plain rerun reference.
+				// it — instrumented scans of every strategy, with predecode
+				// on, must archive byte-identically to the uninstrumented
+				// plain rerun reference.
 				for _, strat := range strategies {
 					cases = append(cases, tcase{
-						label: strat.name + "/pre=true/memo=true+telemetry",
-						opts: ScanOptions{Space: space, Strategy: strat.s,
-							Predecode: true, Memo: true},
-						tel: true,
+						label: strat.name + "/pre=true+telemetry",
+						opts:  ScanOptions{Space: space, Strategy: strat.s, Predecode: true},
+						tel:   true,
 					})
 				}
 				// Invariant 15: tracing is identification, never
@@ -130,9 +152,8 @@ func TestStrategyEquivalenceAllBenchmarks(t *testing.T) {
 				// actually recording a timeline.
 				for _, strat := range strategies {
 					cases = append(cases, tcase{
-						label: strat.name + "/pre=true/memo=true+trace",
-						opts: ScanOptions{Space: space, Strategy: strat.s,
-							Predecode: true, Memo: true},
+						label: strat.name + "/pre=true+trace",
+						opts:  ScanOptions{Space: space, Strategy: strat.s, Predecode: true},
 						trace: true,
 					})
 				}
@@ -163,6 +184,10 @@ func TestStrategyEquivalenceAllBenchmarks(t *testing.T) {
 						snap := reg.Snapshot()
 						if exp := snap.Counters["scan.experiments"]; exp != uint64(len(got.Space.Classes)) {
 							t.Errorf("%s: scan.experiments = %d, want %d", label, exp, len(got.Space.Classes))
+						}
+						if pr.name == hardened && space == SpaceMemory &&
+							tc.opts.Strategy == StrategySnapshot && snap.Counters["memo.hits"] == 0 {
+							t.Errorf("%s: memo.hits = 0 — the grid no longer exercises memoization", label)
 						}
 					}
 					if tc.trace {
@@ -199,7 +224,7 @@ func TestObjectiveStrategyEquivalence(t *testing.T) {
 			}
 			ref := scanBytes(t, rerun)
 			label := fmt.Sprintf("%s/%s/snapshot", space, obj)
-			got, err := Scan(prog, ScanOptions{Space: space, Predecode: true, Memo: true, Objective: obj})
+			got, err := Scan(prog, ScanOptions{Space: space, Predecode: true, Objective: obj})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

@@ -187,11 +187,6 @@ type ScanOptions struct {
 	// fast path is proven Step-equivalent — so like Strategy it never
 	// changes scan results and is excluded from the campaign identity.
 	Predecode bool
-	// Memo enables cross-experiment outcome memoization: post-injection
-	// machine states are hashed at fixed probe boundaries and the
-	// remainder of each run is shared across all experiments of the
-	// campaign. Outcome-invariant (DESIGN.md invariant 11).
-	Memo bool
 	// MaxGoldenCycles bounds the golden run (default 1<<22).
 	MaxGoldenCycles uint64
 	// Space selects the fault space (default SpaceMemory).
@@ -246,7 +241,6 @@ func (o ScanOptions) campaignConfig() (campaign.Config, error) {
 		Workers:          o.Workers,
 		Strategy:         o.Strategy,
 		Predecode:        o.Predecode,
-		Memo:             o.Memo,
 		Objective:        obj,
 		OnProgress:       o.OnProgress,
 		ProgressInterval: o.ProgressInterval,

@@ -33,17 +33,12 @@ func RunClasses(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Conf
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.memoEnabled() {
-		if cfg.MemoCache == nil {
-			cfg.MemoCache = NewMemoCache()
-		}
-		id, err := t.CampaignIdentity(fs.Kind, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: identity: %w", err)
-		}
-		if err := cfg.MemoCache.bind(id, cfg.timeoutBudget(golden.Cycles)); err != nil {
-			return nil, err
-		}
+	id, err := t.CampaignIdentity(fs.Kind, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: identity: %w", err)
+	}
+	if cfg, err = cfg.bindMemo(id, golden.Cycles); err != nil {
+		return nil, err
 	}
 	todo := append([]int(nil), classes...)
 	// The snapshot feeder walks classes in (Slot, Bit) order, which is the

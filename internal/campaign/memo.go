@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"sync"
+	"sync/atomic"
 
 	"faultspace/internal/machine"
 	"faultspace/internal/trace"
@@ -13,9 +14,10 @@ import (
 //
 // Many faulted runs converge onto a common continuation — a corrupted
 // value funneling into the same error-handling path, or a fault in a
-// dead bit leaving the golden state itself — yet the snapshot and rerun
-// strategies simulate every experiment to its end. This file shares
-// those continuations across the experiments of one campaign.
+// dead bit leaving the golden state itself — yet a plain scan simulates
+// every experiment to its end. This file shares those continuations
+// across the experiments of one snapshot-strategy campaign; the rerun
+// strategy stays plain, the unaccelerated reference.
 //
 // The machine is deterministic, so a running machine's future depends
 // only on its behavior-relevant state (machine.HashExecState) and its
@@ -34,17 +36,24 @@ import (
 //
 // When does memoization pay? Each probe hashes the full machine state,
 // so its cost scales with RAMSize, while a hit can never save more than
-// the experiment's remaining cycle budget. On the bundled kernels the
-// answer depends on the variant (favscan end to end, default sizes, a
-// 2-vCPU Intel Xeon, median of 3; per-variant table in DESIGN.md §4e).
-// On the SUM+DMR variants of bin_sem2, sync2 and mbox1, whose long
-// runs correct most faults and rejoin a few continuations, memo cuts
-// the scan 6–9× (869 → 132 ms, 694 → 110 ms, 1008 → 116 ms). On the
-// baseline variants it costs 1.3–2.4× instead (bin_sem2 18 → 27 ms):
-// the targets are small, most faulted runs end within a few hundred
-// cycles, and the hashes rarely find a match. The admission gate below
-// (memoHashBytesPerCycle) bounds the downside by refusing probes that
-// provably cannot pay off.
+// the experiment's remaining cycle budget. Whether the hits repay the
+// hashing is a property of the campaign, not of the engine: on the
+// SUM+DMR variants of bin_sem2, sync2 and mbox1, whose long runs
+// correct most faults and rejoin a few continuations, memo cuts the
+// scan 6–9×, while on the small baseline variants most faulted runs end
+// within a few hundred cycles, the hashes rarely find a match, and memo
+// costs 1.3–3× instead (per-variant table in DESIGN.md §4e).
+//
+// So every snapshot scan starts with memo on and lets the campaign
+// decide for itself (admission). The shared MemoCache tallies the
+// cycles its hits skipped and the state bytes its probes hashed over
+// the first memoWarmup experiments, then settles once: admit when
+// saved ≥ memoAdmitRatio × hashed, otherwise refuse, after which every
+// experiment takes the plain one-call path. The rule reads only what
+// the probes already compute — no clock, no workload name — so it
+// shifts cost, never outcomes. Independently of admission, the per-probe
+// break-even cutoff (memoHashBytesPerCycle) skips probes whose
+// remaining budget provably cannot repay the hash.
 
 // Memo tuning knobs.
 const (
@@ -58,17 +67,28 @@ const (
 	// but no new entries are stored.
 	memoMaxEntries = 1 << 20
 
-	// memoHashBytesPerCycle calibrates the admission gate: hashing this
-	// many state bytes is assumed to cost about as much as simulating one
-	// cycle. A probe runs two maphash passes over the full ~(96+RAMSize)
-	// byte state, so its cost in simulated-cycle equivalents is
-	// 2×(96+RAMSize)/memoHashBytesPerCycle — and a hit can never save
-	// more than the experiment's remaining cycle budget. The constant is
-	// deliberately an over-estimate of maphash throughput (an
-	// under-estimate of probe cost), so the gate only skips probes that
+	// memoHashBytesPerCycle calibrates the per-probe break-even cutoff:
+	// hashing this many state bytes is assumed to cost about as much as
+	// simulating one cycle. A probe runs two maphash passes over the full
+	// ~(96+RAMSize) byte state, so its cost in simulated-cycle
+	// equivalents is 2×(96+RAMSize)/memoHashBytesPerCycle — and a hit can
+	// never save more than the experiment's remaining cycle budget. The
+	// constant is deliberately an over-estimate of maphash throughput (an
+	// under-estimate of probe cost), so the cutoff only skips probes that
 	// cannot pay off even under optimistic assumptions; everything else
 	// still reaches the cache and outcome bytes never depend on it.
 	memoHashBytesPerCycle = 16
+
+	// memoWarmup is the number of experiments a campaign runs with memo
+	// on before its cache settles admission.
+	memoWarmup = 256
+	// memoAdmitRatio is the admission threshold θ, in cycles saved by
+	// hits per state byte hashed by probes over the warm-up. It is not a
+	// hash-versus-simulation exchange rate (that would be about
+	// 1/memoHashBytesPerCycle): it also pays for the lookups, the entry
+	// back-fill and the boundary-by-boundary stepping a memoized run
+	// takes, measured on the bundled kernels (DESIGN.md §4e).
+	memoAdmitRatio = 0.4
 
 	// memoBoundaries is the probe-boundary count memoInterval aims for
 	// over the golden run: interval = goldenCycles / memoBoundaries.
@@ -88,6 +108,27 @@ func (c Config) memoInterval(goldenCycles uint64) uint64 {
 		return c.memoEvery
 	}
 	return max(goldenCycles/memoBoundaries, memoMinInterval)
+}
+
+// bindMemo readies a scan's memo cache: the snapshot strategy always
+// memoizes (into a private cache when the caller shares none) and the
+// rerun reference never does. It returns cfg with MemoCache set to the
+// bound cache, or nil under rerun.
+func (c Config) bindMemo(id [32]byte, goldenCycles uint64) (Config, error) {
+	if c.Strategy == StrategyRerun {
+		c.MemoCache = nil
+		return c, nil
+	}
+	if c.MemoCache == nil {
+		c.MemoCache = NewMemoCache()
+	}
+	if err := c.MemoCache.bind(id, c.timeoutBudget(goldenCycles)); err != nil {
+		return c, err
+	}
+	if c.memoForce != memoUndecided {
+		c.MemoCache.force(c.memoForce)
+	}
+	return c, nil
 }
 
 // memoKey identifies a post-injection machine state at an experiment
@@ -110,7 +151,17 @@ type memoEntry struct {
 	serial   []byte // suffix emitted after the boundary (halted runs)
 	detects  uint64 // counter deltas after the boundary
 	corrects uint64
+	cycles   uint64 // suffix length: cycles a hit on this entry skips
 }
+
+// memoDecision is a campaign's admission state (see the file comment).
+type memoDecision uint32
+
+const (
+	memoUndecided memoDecision = iota // warming up: memo on, tallies counting
+	memoAdmitted                      // memo stays on for the rest of the campaign
+	memoRefused                       // every later experiment runs plainly
+)
 
 // MemoCache memoizes experiment remainders across one campaign. It is
 // safe for concurrent use by any number of scan workers and may be
@@ -118,7 +169,9 @@ type memoEntry struct {
 // campaign over all leased units — but never across campaigns: bind()
 // pins the first campaign identity and cycle budget it serves and
 // rejects mismatches, because entries are only transferable between
-// experiments with identical machine semantics and budget.
+// experiments with identical machine semantics and budget. The
+// admission decision lives here too, so it also holds across every
+// scan that shares the cache.
 type MemoCache struct {
 	seed1, seed2 maphash.Seed
 
@@ -127,6 +180,12 @@ type MemoCache struct {
 	bound   bool
 	id      [32]byte
 	budget  uint64
+
+	// Warm-up tallies, counted only while undecided.
+	experiments atomic.Uint64
+	savedCycles atomic.Uint64
+	hashedBytes atomic.Uint64
+	decision    atomic.Uint32 // a memoDecision
 }
 
 // NewMemoCache creates an empty memo cache with fresh hash seeds.
@@ -158,6 +217,34 @@ func (c *MemoCache) bind(id [32]byte, budget uint64) error {
 		return fmt.Errorf("campaign: memo cache already bound to a different campaign or budget")
 	}
 	return nil
+}
+
+func (c *MemoCache) state() memoDecision { return memoDecision(c.decision.Load()) }
+
+// force settles admission up front (tests only; see Config.memoForce).
+func (c *MemoCache) force(d memoDecision) { c.decision.Store(uint32(d)) }
+
+// account folds one warm-up experiment into the tallies. The experiment
+// that completes the warm-up settles admission and returns the decision;
+// every other call returns memoUndecided.
+func (c *MemoCache) account(saved, hashed uint64) memoDecision {
+	if saved > 0 {
+		c.savedCycles.Add(saved)
+	}
+	if hashed > 0 {
+		c.hashedBytes.Add(hashed)
+	}
+	if c.experiments.Add(1) != memoWarmup {
+		return memoUndecided
+	}
+	d := memoRefused
+	if float64(c.savedCycles.Load()) >= memoAdmitRatio*float64(c.hashedBytes.Load()) {
+		d = memoAdmitted
+	}
+	if !c.decision.CompareAndSwap(uint32(memoUndecided), uint32(d)) {
+		return memoUndecided // forced before the warm-up ended
+	}
+	return d
 }
 
 func (c *MemoCache) lookup(k memoKey) (memoEntry, bool) {
@@ -195,29 +282,30 @@ type memoRun struct {
 	h1, h2 maphash.Hash
 	marks  []memoMark
 	st     *scanTel
-	// breakEven is the admission-gate threshold in cycles, computed
-	// lazily from the first probed machine's state size (0 = not yet).
-	breakEven uint64
+	// probeBytes is the state bytes one probe hashes (both passes),
+	// computed lazily from the first probed machine (0 = not yet).
+	probeBytes uint64
+}
+
+// probeCost returns the state bytes one probe of m hashes.
+func (mr *memoRun) probeCost(m *machine.Machine) uint64 {
+	if mr.probeBytes == 0 {
+		mr.probeBytes = 2 * uint64(96+m.RAMSize())
+	}
+	return mr.probeBytes
 }
 
 // breakEvenCycles returns the probe cost in simulated-cycle equivalents
 // (see memoHashBytesPerCycle): probing a boundary with fewer remaining
 // budget cycles than this is a guaranteed net loss.
 func (mr *memoRun) breakEvenCycles(m *machine.Machine) uint64 {
-	if mr.breakEven == 0 {
-		mr.breakEven = 2 * uint64(96+m.RAMSize()) / memoHashBytesPerCycle
-	}
-	return mr.breakEven
-}
-
-// gated accounts one probe skipped by the admission gate.
-func (mr *memoRun) gated() {
-	if mr.st != nil {
-		mr.st.memoGated.Inc()
-	}
+	return mr.probeCost(m) / memoHashBytesPerCycle
 }
 
 func newMemoRun(cache *MemoCache, st *scanTel) *memoRun {
+	if st == nil {
+		st = &scanTel{}
+	}
 	mr := &memoRun{cache: cache, st: st, marks: make([]memoMark, 0, memoMaxProbes)}
 	mr.h1.SetSeed(cache.seed1)
 	mr.h2.SetSeed(cache.seed2)
@@ -240,14 +328,11 @@ func (mr *memoRun) probe(m *machine.Machine) (memoEntry, bool) {
 	m.HashExecState(&mr.h2)
 	key := memoKey{cycle: m.Cycles(), h1: mr.h1.Sum64(), h2: mr.h2.Sum64()}
 	if e, ok := mr.cache.lookup(key); ok {
-		if mr.st != nil {
-			mr.st.memoHits.Inc()
-		}
+		mr.st.memoHits.Inc()
+		mr.st.memoSaved.Add(e.cycles)
 		return e, true
 	}
-	if mr.st != nil {
-		mr.st.memoMisses.Inc()
-	}
+	mr.st.memoMisses.Inc()
 	mr.marks = append(mr.marks, memoMark{
 		key:       key,
 		serialLen: m.SerialLen(),
@@ -257,6 +342,21 @@ func (mr *memoRun) probe(m *machine.Machine) (memoEntry, bool) {
 	return memoEntry{}, false
 }
 
+// settle accounts a finished experiment — probes hashed, cycles a hit
+// skipped — toward the cache's admission decision while it is still
+// warming up, and counts the decision if this experiment made it.
+func (mr *memoRun) settle(m *machine.Machine, probes int, saved uint64) {
+	if mr.cache.state() != memoUndecided {
+		return
+	}
+	switch mr.cache.account(saved, uint64(probes)*mr.probeCost(m)) {
+	case memoAdmitted:
+		mr.st.memoAdmitted.Inc()
+	case memoRefused:
+		mr.st.memoRefused.Inc()
+	}
+}
+
 // populate stores one entry per recorded mark from the machine's final
 // state: the run ended naturally (halt, exception, abort) or is settled
 // as a Timeout (still running at the budget, which classifies
@@ -264,13 +364,14 @@ func (mr *memoRun) probe(m *machine.Machine) (memoEntry, bool) {
 // campaign-global).
 func (mr *memoRun) populate(m *machine.Machine) {
 	status, exc := m.Status(), m.Exception()
-	det, cor := m.DetectCount(), m.CorrectCount()
+	det, cor, end := m.DetectCount(), m.CorrectCount(), m.Cycles()
 	for _, mk := range mr.marks {
 		e := memoEntry{
 			status:   status,
 			exc:      exc,
 			detects:  det - mk.detects,
 			corrects: cor - mk.corrects,
+			cycles:   end - mk.key.cycle,
 		}
 		if status == machine.StatusHalted {
 			e.serial = m.AppendSerialSuffix(nil, mk.serialLen)
@@ -284,16 +385,19 @@ func (mr *memoRun) populate(m *machine.Machine) {
 // simulated but taken from tail, the entry it hit at a later boundary.
 // The final observables are the machine's current values plus the
 // tail's (its serial appended after the machine's current serial, its
-// counter deltas added to the machine's counters).
+// counter deltas added to the machine's counters, its cycles added to
+// the machine's).
 func (mr *memoRun) populateComposed(m *machine.Machine, tail memoEntry) {
 	det := m.DetectCount() + tail.detects
 	cor := m.CorrectCount() + tail.corrects
+	end := m.Cycles() + tail.cycles
 	for _, mk := range mr.marks {
 		e := memoEntry{
 			status:   tail.status,
 			exc:      tail.exc,
 			detects:  det - mk.detects,
 			corrects: cor - mk.corrects,
+			cycles:   end - mk.key.cycle,
 		}
 		if tail.status == machine.StatusHalted {
 			e.serial = m.AppendSerialSuffix(nil, mk.serialLen)
@@ -309,10 +413,11 @@ func (mr *memoRun) populateComposed(m *machine.Machine, tail memoEntry) {
 // see memoInterval), probing the cache at each; a hit composes the
 // outcome from the cached remainder, a natural finish classifies
 // normally and back-fills entries for every miss.
-// Disabled memoization (mr == nil) takes the one-call fast path — the
-// exact pre-memo code — so the feature costs nothing when off.
+// Without memoization (mr == nil) or once the campaign has refused it,
+// the experiment takes the one-call plain path — the exact pre-memo
+// code — so a refused campaign pays one atomic load per experiment.
 func memoTail(m *machine.Machine, golden *trace.Golden, budget, interval uint64, obj *Objective, mr *memoRun) Outcome {
-	if mr == nil {
+	if mr == nil || mr.cache.state() == memoRefused {
 		m.Run(budget)
 		return classify(m, golden, obj)
 	}
@@ -324,12 +429,12 @@ func memoTail(m *machine.Machine, golden *trace.Golden, budget, interval uint64,
 		if next >= golden.Cycles || next >= budget {
 			break
 		}
-		// Admission gate: a hit at this boundary can save at most the
+		// Break-even cutoff: a hit at this boundary can save at most the
 		// remaining budget; once that drops below the probe's own cost,
 		// probing is a guaranteed loss — and every later boundary is
 		// closer to the budget still, so stop probing outright.
 		if budget-next < mr.breakEvenCycles(m) {
-			mr.gated()
+			mr.st.memoGated.Inc()
 			break
 		}
 		if m.Run(next) != machine.StatusRunning || m.Cycles() != next {
@@ -338,12 +443,14 @@ func memoTail(m *machine.Machine, golden *trace.Golden, budget, interval uint64,
 		if e, hit := mr.probe(m); hit {
 			o := composeOutcome(obj, e.status, e.exc, m.SerialView(), e.serial,
 				m.DetectCount()+e.detects, m.CorrectCount()+e.corrects, golden)
+			mr.settle(m, len(mr.marks)+1, e.cycles)
 			mr.populateComposed(m, e)
 			return o
 		}
 	}
 	m.Run(budget)
 	o := classify(m, golden, obj)
+	mr.settle(m, len(mr.marks), 0)
 	mr.populate(m)
 	return o
 }

@@ -8,6 +8,8 @@ import (
 
 	"faultspace/internal/isa"
 	"faultspace/internal/machine"
+	"faultspace/internal/progs"
+	"faultspace/internal/pruning"
 	"faultspace/internal/telemetry"
 )
 
@@ -45,51 +47,55 @@ func convergentTarget() Target {
 	}
 }
 
+// allSpaces lists every fault-space kind.
+var allSpaces = []pruning.SpaceKind{pruning.SpaceMemory, pruning.SpaceRegisters,
+	pruning.SpaceSkip, pruning.SpacePC, pruning.SpaceBurst2, pruning.SpaceBurst4}
+
 // TestMemoOracleRandomCoordinates is the memoization analogue of
 // TestRandomCoordinateOracle (invariant 11): outcomes produced by
-// memoized scans — under every strategy, with predecode on — must equal
-// a fresh, uncached, plain-decoder single experiment at random raw
-// coordinates of the fault space.
+// memoized snapshot scans — admission forced on, predecode on, in every
+// fault space — must equal a fresh, uncached, plain-decoder single
+// experiment at random raw coordinates of the fault space.
 func TestMemoOracleRandomCoordinates(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	targets := []Target{hiTarget(t), convergentTarget()}
 	for trial := 0; trial < 6; trial++ {
 		targets = append(targets, randomTarget(rng, 8+rng.Intn(12)))
 	}
-	strategies := []Strategy{StrategySnapshot, StrategyRerun}
+	cfg := Config{}.withDefaults()
 	for ti, target := range targets {
-		golden, fs, err := target.Prepare(1 << 12)
-		if err != nil {
-			t.Fatalf("target %d: prepare: %v", ti, err)
-		}
-		strat := strategies[ti%len(strategies)]
-		// Interval 1 maximizes probe boundaries (and therefore cache
-		// traffic) on these short programs.
-		res, err := FullScan(target, golden, fs, Config{
-			Strategy: strat, memoEvery: 1, Predecode: true, Memo: true,
-		})
-		if err != nil {
-			t.Fatalf("target %d: memo scan: %v", ti, err)
-		}
-		cfg := Config{}.withDefaults()
-		for n := 0; n < 40; n++ {
-			slot := 1 + uint64(rng.Int63n(int64(fs.Cycles)))
-			bit := uint64(rng.Int63n(int64(fs.Bits)))
-			got, err := RunSingleSpace(target, golden, cfg, fs.Kind, slot, bit)
+		for _, kind := range allSpaces {
+			golden, fs, err := target.PrepareSpace(kind, 1<<12)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("target %d %s: prepare: %v", ti, kind, err)
 			}
-			ci, inClass, err := fs.Locate(slot, bit)
+			// Interval 1 maximizes probe boundaries (and therefore cache
+			// traffic) on these short programs.
+			res, err := FullScan(target, golden, fs, Config{
+				memoEvery: 1, memoForce: memoAdmitted, Predecode: true,
+			})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("target %d %s: memo scan: %v", ti, kind, err)
 			}
-			want := OutcomeNoEffect
-			if inClass {
-				want = res.Outcomes[ci]
-			}
-			if got != want {
-				t.Fatalf("target %d (%s, strategy %s) coordinate (%d, %d): fresh=%v memoized=%v (inClass=%v)",
-					ti, target.Name, strat, slot, bit, got, want, inClass)
+			for n := 0; n < 40; n++ {
+				slot := 1 + uint64(rng.Int63n(int64(fs.Cycles)))
+				bit := uint64(rng.Int63n(int64(fs.Bits)))
+				got, err := RunSingleSpace(target, golden, cfg, fs.Kind, slot, bit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ci, inClass, err := fs.Locate(slot, bit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := OutcomeNoEffect
+				if inClass {
+					want = res.Outcomes[ci]
+				}
+				if got != want {
+					t.Fatalf("target %d (%s, %s) coordinate (%d, %d): fresh=%v memoized=%v (inClass=%v)",
+						ti, target.Name, kind, slot, bit, got, want, inClass)
+				}
 			}
 		}
 	}
@@ -97,52 +103,72 @@ func TestMemoOracleRandomCoordinates(t *testing.T) {
 
 // TestMemoCacheHits proves the cache actually fires — equivalence alone
 // would hold trivially if no experiment ever hit an entry — and that a
-// scan's telemetry accounts for it.
+// scan's telemetry accounts for it. The rerun reference must stay plain:
+// no probes, no entries, no memo instruments.
 func TestMemoCacheHits(t *testing.T) {
 	target := convergentTarget()
 	golden, fs, err := target.Prepare(1 << 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []Strategy{StrategySnapshot, StrategyRerun} {
-		reg := telemetry.New()
-		cache := NewMemoCache()
-		res, err := FullScan(target, golden, fs, Config{
-			Strategy: strat, memoEvery: 2, Workers: 1,
-			MemoCache: cache, Telemetry: reg,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
+	reg := telemetry.New()
+	cache := NewMemoCache()
+	res, err := FullScan(target, golden, fs, Config{
+		memoEvery: 2, memoForce: memoAdmitted, Workers: 1,
+		MemoCache: cache, Telemetry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Outcomes) == 0 {
+		t.Fatal("empty scan")
+	}
+	snap := reg.Snapshot()
+	hits, misses := snap.Counters["memo.hits"], snap.Counters["memo.misses"]
+	if hits == 0 {
+		t.Errorf("memo.hits = 0 (misses %d, %d entries) — cache never fired", misses, cache.Len())
+	}
+	if misses == 0 {
+		t.Error("memo.misses = 0 — probes never recorded marks")
+	}
+	if snap.Counters["memo.saved_cycles"] < hits {
+		t.Errorf("memo.saved_cycles = %d for %d hits — every hit skips at least one cycle",
+			snap.Counters["memo.saved_cycles"], hits)
+	}
+	if cache.Len() == 0 {
+		t.Error("cache stayed empty")
+	}
+	if snap.Gauges["memo.entries"] != int64(cache.Len()) {
+		t.Errorf("memo.entries gauge = %d, want %d", snap.Gauges["memo.entries"], cache.Len())
+	}
+
+	reg = telemetry.New()
+	cache = NewMemoCache()
+	if _, err := FullScan(target, golden, fs, Config{
+		Strategy: StrategyRerun, memoEvery: 2, memoForce: memoAdmitted,
+		MemoCache: cache, Telemetry: reg,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	snap = reg.Snapshot()
+	for name := range snap.Counters {
+		if strings.HasPrefix(name, "memo.") {
+			t.Errorf("rerun scan registered %s — the reference must not memoize", name)
 		}
-		if len(res.Outcomes) == 0 {
-			t.Fatalf("%s: empty scan", strat)
-		}
-		snap := reg.Snapshot()
-		hits, misses := snap.Counters["memo.hits"], snap.Counters["memo.misses"]
-		if hits == 0 {
-			t.Errorf("%s: memo.hits = 0 (misses %d, %d entries) — cache never fired",
-				strat, misses, cache.Len())
-		}
-		if misses == 0 {
-			t.Errorf("%s: memo.misses = 0 — probes never recorded marks", strat)
-		}
-		if cache.Len() == 0 {
-			t.Errorf("%s: cache stayed empty", strat)
-		}
-		if snap.Gauges["memo.entries"] != int64(cache.Len()) {
-			t.Errorf("%s: memo.entries gauge = %d, want %d",
-				strat, snap.Gauges["memo.entries"], cache.Len())
-		}
+	}
+	if cache.Len() != 0 {
+		t.Errorf("rerun scan filled the shared cache with %d entries", cache.Len())
 	}
 }
 
-// TestMemoAdmissionGate pins the probe admission gate: on a target whose
-// cycle budget sits below the hash-cost break-even threshold (large RAM,
-// tight TimeoutFactor), every probe is refused — the cache never fires
-// and never fills — while the outcomes still match an unmemoized scan.
-// Here breakEven = 2×(96+4096)/memoHashBytesPerCycle = 524 cycles but
-// the budget is only golden (16) + slack (256) cycles.
-func TestMemoAdmissionGate(t *testing.T) {
+// TestMemoBreakEvenCutoff pins the per-probe break-even cutoff: on a
+// target whose cycle budget sits below the hash-cost break-even
+// threshold (large RAM, tight TimeoutFactor), every probe is skipped —
+// the cache never fires and never fills — while the outcomes still
+// match an unmemoized scan. Here breakEven = 2×(96+4096)/
+// memoHashBytesPerCycle = 524 cycles but the budget is only golden (16)
+// + slack (256) cycles.
+func TestMemoBreakEvenCutoff(t *testing.T) {
 	target := convergentTarget()
 	target.Name = "convergent-big"
 	target.Mach.RAMSize = 4096
@@ -150,34 +176,116 @@ func TestMemoAdmissionGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := FullScan(target, golden, fs, Config{TimeoutFactor: 1})
+	ref, err := FullScan(target, golden, fs, Config{TimeoutFactor: 1, Strategy: StrategyRerun})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []Strategy{StrategySnapshot, StrategyRerun} {
+	reg := telemetry.New()
+	cache := NewMemoCache()
+	res, err := FullScan(target, golden, fs, Config{
+		memoEvery: 1, memoForce: memoAdmitted, TimeoutFactor: 1,
+		MemoCache: cache, Telemetry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci := range ref.Outcomes {
+		if res.Outcomes[ci] != ref.Outcomes[ci] {
+			t.Fatalf("class %d: cut off=%v plain=%v", ci, res.Outcomes[ci], ref.Outcomes[ci])
+		}
+	}
+	snap := reg.Snapshot()
+	if h, m := snap.Counters["memo.hits"], snap.Counters["memo.misses"]; h+m != 0 {
+		t.Errorf("%d hits + %d misses — cutoff let unpayable probes through", h, m)
+	}
+	if snap.Counters["memo.gated"] == 0 {
+		t.Error("memo.gated = 0 — cutoff never exercised")
+	}
+	if cache.Len() != 0 {
+		t.Errorf("cache holds %d entries, want 0", cache.Len())
+	}
+}
+
+// registryTarget builds a bundled benchmark at registry default size.
+func registryTarget(t *testing.T, name string, hardened bool) Target {
+	t.Helper()
+	spec, err := progs.Resolve(name, progs.Sizes{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := spec.Baseline
+	if hardened {
+		build = spec.Hardened
+	}
+	p, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Target{
+		Name:  p.Name,
+		Code:  p.Code,
+		Image: p.Image,
+		Mach:  machine.Config{RAMSize: p.RAMSize, TimerPeriod: p.TimerPeriod, TimerVector: p.TimerVector},
+	}
+}
+
+// TestMemoAdmission pins the admission rule on bin_sem2 at registry
+// default size: the SUM+DMR variant, whose corrected faults rejoin a few
+// continuations, is admitted; the baseline, whose short faulted runs
+// rarely meet, is refused. The campaign runs as three RunClasses calls
+// on one shared cache — a cluster worker's leased units — with the
+// warm-up straddling the first two: exactly one decision is made, it
+// holds for the third call, and a refused campaign stops probing.
+func TestMemoAdmission(t *testing.T) {
+	for _, tc := range []struct {
+		hardened bool
+		want     memoDecision
+	}{
+		{false, memoRefused},
+		{true, memoAdmitted},
+	} {
+		target := registryTarget(t, "bin_sem2", tc.hardened)
+		golden, fs, err := target.Prepare(1 << 22)
+		if err != nil {
+			t.Fatal(err)
+		}
 		reg := telemetry.New()
 		cache := NewMemoCache()
-		res, err := FullScan(target, golden, fs, Config{
-			Strategy: strat, memoEvery: 1, TimeoutFactor: 1,
-			MemoCache: cache, Telemetry: reg,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
-		}
-		for ci := range ref.Outcomes {
-			if res.Outcomes[ci] != ref.Outcomes[ci] {
-				t.Fatalf("%s: class %d: gated=%v plain=%v", strat, ci, res.Outcomes[ci], ref.Outcomes[ci])
+		cfg := Config{Workers: 2, Predecode: true, MemoCache: cache, Telemetry: reg}
+		units := [][2]int{{0, memoWarmup / 2}, {memoWarmup / 2, memoWarmup + 128}, {memoWarmup + 128, 4 * memoWarmup}}
+		var probes uint64
+		for i, u := range units {
+			classes := make([]int, 0, u[1]-u[0])
+			for ci := u[0]; ci < u[1]; ci++ {
+				classes = append(classes, ci)
 			}
-		}
-		snap := reg.Snapshot()
-		if h, m := snap.Counters["memo.hits"], snap.Counters["memo.misses"]; h+m != 0 {
-			t.Errorf("%s: %d hits + %d misses — gate admitted unpayable probes", strat, h, m)
-		}
-		if snap.Counters["memo.gated"] == 0 {
-			t.Errorf("%s: memo.gated = 0 — gate never exercised", strat)
-		}
-		if cache.Len() != 0 {
-			t.Errorf("%s: cache holds %d entries, want 0", strat, cache.Len())
+			if _, err := RunClasses(target, golden, fs, cfg, classes); err != nil {
+				t.Fatalf("%s unit %d: %v", target.Name, i, err)
+			}
+			snap := reg.Snapshot()
+			decided := snap.Counters["memo.admitted"] + snap.Counters["memo.refused"]
+			p := snap.Counters["memo.hits"] + snap.Counters["memo.misses"]
+			switch i {
+			case 0:
+				if decided != 0 || cache.state() != memoUndecided {
+					t.Fatalf("%s: decided after %d experiments, before the warm-up ended", target.Name, u[1])
+				}
+			default:
+				if decided != 1 {
+					t.Fatalf("%s unit %d: %d admission decisions, want exactly 1", target.Name, i, decided)
+				}
+				if got := cache.state(); got != tc.want {
+					t.Fatalf("%s unit %d: decision %d, want %d (saved %d cycles / hashed %d bytes)",
+						target.Name, i, got, tc.want, cache.savedCycles.Load(), cache.hashedBytes.Load())
+				}
+			}
+			if i == 2 && tc.want == memoRefused && p != probes {
+				t.Errorf("%s: %d probes after the refusal, want none", target.Name, p-probes)
+			}
+			if i == 2 && tc.want == memoAdmitted && snap.Counters["memo.hits"] == 0 {
+				t.Errorf("%s: admitted campaign never hit", target.Name)
+			}
+			probes = p
 		}
 	}
 }
@@ -287,7 +395,8 @@ func TestMemoCacheBindGuard(t *testing.T) {
 
 // TestMemoDisabledAllocFree is the memo half of the zero-overhead
 // invariant (the telemetry half lives in internal/telemetry): with
-// memoization off (mr == nil), the per-experiment tail — run to
+// memoization off (mr == nil, the rerun reference) or refused by the
+// campaign's admission decision, the per-experiment tail — run to
 // termination plus classification — must not allocate at all.
 func TestMemoDisabledAllocFree(t *testing.T) {
 	target := hiTarget(t)
@@ -299,20 +408,24 @@ func TestMemoDisabledAllocFree(t *testing.T) {
 	reset := m.Snapshot()
 	budget := Config{}.withDefaults().timeoutBudget(golden.Cycles)
 	slot, bit := fs.Classes[0].Slot(), fs.Classes[0].Bit
-	run := func() {
-		m.Restore(reset)
-		if slot > 1 {
-			m.Run(slot - 1)
+	refused := NewMemoCache()
+	refused.force(memoRefused)
+	for _, mr := range []*memoRun{nil, newMemoRun(refused, nil)} {
+		run := func() {
+			m.Restore(reset)
+			if slot > 1 {
+				m.Run(slot - 1)
+			}
+			if err := m.FlipBit(bit); err != nil {
+				t.Fatal(err)
+			}
+			if o := memoTail(m, golden, budget, 1, nil, mr); int(o) >= NumOutcomes {
+				t.Fatalf("bad outcome %d", o)
+			}
 		}
-		if err := m.FlipBit(bit); err != nil {
-			t.Fatal(err)
+		run() // warm up lazily-allocated machine state
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Errorf("memo off (refused=%t): experiment tail allocates %.1f times per run, want 0", mr != nil, allocs)
 		}
-		if o := memoTail(m, golden, budget, 0, nil, nil); int(o) >= NumOutcomes {
-			t.Fatalf("bad outcome %d", o)
-		}
-	}
-	run() // warm up lazily-allocated machine state
-	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-		t.Errorf("disabled-memo experiment tail allocates %.1f times per run, want 0", allocs)
 	}
 }

@@ -140,7 +140,7 @@ func SampleScan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Conf
 		}
 		m.Restore(reset)
 		c := fs.Classes[ci]
-		o, err := runFromReset(m, golden, c.Slot(), c.Bit, budget, 0, flip, cfg.Objective, nil)
+		o, err := runFromReset(m, golden, c.Slot(), c.Bit, budget, flip, cfg.Objective)
 		if err != nil {
 			return 0, err
 		}

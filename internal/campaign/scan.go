@@ -64,16 +64,8 @@ func ResumeScan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Conf
 	}
 	res.Identity = id
 
-	if cfg.memoEnabled() {
-		if cfg.MemoCache == nil {
-			// Memo without an explicit shared cache gets a private one:
-			// entries are still shared across all experiments (and
-			// workers) of this scan, just not across calls.
-			cfg.MemoCache = NewMemoCache()
-		}
-		if err := cfg.MemoCache.bind(id, cfg.timeoutBudget(golden.Cycles)); err != nil {
-			return nil, err
-		}
+	if cfg, err = cfg.bindMemo(id, golden.Cycles); err != nil {
+		return nil, err
 	}
 
 	for ci, o := range prior {
@@ -229,10 +221,7 @@ func scanSnapshot(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Co
 			return err
 		}
 		machines = append(machines, worker)
-		var mr *memoRun
-		if cfg.memoEnabled() {
-			mr = newMemoRun(cfg.MemoCache, st)
-		}
+		mr := newMemoRun(cfg.MemoCache, st)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -313,7 +302,6 @@ func scanSnapshot(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Co
 
 func scanRerun(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, todo []int, out []Outcome, m *meter, st *scanTel) error {
 	budget := cfg.timeoutBudget(golden.Cycles)
-	interval := cfg.memoInterval(golden.Cycles)
 	flip := flipFor(fs.Kind)
 
 	var machines []*machine.Machine
@@ -334,10 +322,6 @@ func scanRerun(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Confi
 		}
 		machines = append(machines, worker)
 		reset := worker.Snapshot()
-		var mr *memoRun
-		if cfg.memoEnabled() {
-			mr = newMemoRun(cfg.MemoCache, st)
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -352,7 +336,7 @@ func scanRerun(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Confi
 				}
 				t0 := st.begin()
 				worker.Restore(reset)
-				o, err := runFromReset(worker, golden, fs.Classes[ci].Slot(), fs.Classes[ci].Bit, budget, interval, flip, cfg.Objective, mr)
+				o, err := runFromReset(worker, golden, fs.Classes[ci].Slot(), fs.Classes[ci].Bit, budget, flip, cfg.Objective)
 				if err != nil {
 					scanFail(&stop, errCh, err)
 					continue
@@ -393,10 +377,10 @@ feed:
 
 // runFromReset drives a reset-state machine through one experiment:
 // replay the golden prefix to just before `slot`, inject via flip at
-// `bit`, run to termination (or the cycle budget) and classify. A
-// non-nil mr memoizes the post-injection remainder at interval
-// boundaries (see memoTail); nil runs the experiment out plainly.
-func runFromReset(m *machine.Machine, golden *trace.Golden, slot, bit, budget, interval uint64, flip flipFunc, obj *Objective, mr *memoRun) (Outcome, error) {
+// `bit`, run to termination (or the cycle budget) and classify — plainly,
+// without memoization: it backs the rerun reference and the brute-force
+// oracle.
+func runFromReset(m *machine.Machine, golden *trace.Golden, slot, bit, budget uint64, flip flipFunc, obj *Objective) (Outcome, error) {
 	if slot > 0 {
 		if st := m.Run(slot - 1); slot-1 > 0 && st != machine.StatusRunning {
 			return 0, fmt.Errorf("campaign: golden replay ended early at cycle %d (status %s), slot %d",
@@ -406,7 +390,8 @@ func runFromReset(m *machine.Machine, golden *trace.Golden, slot, bit, budget, i
 	if err := flip(m, bit); err != nil {
 		return 0, err
 	}
-	return memoTail(m, golden, budget, interval, obj, mr), nil
+	m.Run(budget)
+	return classify(m, golden, obj), nil
 }
 
 // RunSingle executes exactly one memory fault-injection experiment at the
@@ -431,5 +416,5 @@ func RunSingleSpace(t Target, golden *trace.Golden, cfg Config, kind pruning.Spa
 	}
 	// Deliberately plain (no predecode, no memo): this is the brute-force
 	// oracle the validation tests compare the optimized scan paths to.
-	return runFromReset(m, golden, slot, bit, cfg.timeoutBudget(golden.Cycles), 0, flipFor(kind), cfg.Objective, nil)
+	return runFromReset(m, golden, slot, bit, cfg.timeoutBudget(golden.Cycles), flipFor(kind), cfg.Objective)
 }

@@ -75,15 +75,15 @@ func TestSnapshotEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, memo := range []bool{false, true} {
-		snap, err := FullScan(target, golden, fs, Config{Strategy: StrategySnapshot, Memo: memo, memoEvery: 1})
+	for _, memo := range []memoDecision{memoRefused, memoAdmitted} {
+		snap, err := FullScan(target, golden, fs, Config{Strategy: StrategySnapshot, memoForce: memo, memoEvery: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range rerun.Outcomes {
 			if snap.Outcomes[i] != rerun.Outcomes[i] {
 				t.Errorf("memo=%t class %d (slot %d): snapshot=%v rerun=%v",
-					memo, i, fs.Classes[i].Slot(), snap.Outcomes[i], rerun.Outcomes[i])
+					memo == memoAdmitted, i, fs.Classes[i].Slot(), snap.Outcomes[i], rerun.Outcomes[i])
 			}
 		}
 	}
@@ -105,7 +105,11 @@ func TestSnapshotMatchesRerunRandomPrograms(t *testing.T) {
 			t.Fatal(err)
 		}
 		every := uint64(1 + rng.Intn(int(golden.Cycles)+4))
-		snap, err := FullScan(target, golden, fs, Config{Strategy: StrategySnapshot, Memo: trial%2 == 0, memoEvery: every})
+		memo := memoAdmitted
+		if trial%2 == 1 {
+			memo = memoRefused
+		}
+		snap, err := FullScan(target, golden, fs, Config{Strategy: StrategySnapshot, memoForce: memo, memoEvery: every})
 		if err != nil {
 			t.Fatal(err)
 		}

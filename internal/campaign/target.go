@@ -85,19 +85,20 @@ type Config struct {
 	// and self-modify fuzz tests pin that down — so like Strategy it is
 	// outcome-invariant and excluded from the campaign identity hash.
 	Predecode bool
-	// Memo enables cross-experiment outcome memoization: post-injection
-	// machine states are hashed at fixed probe boundaries and "suffix
-	// state → outcome remainder" entries are shared across all
-	// experiments of the campaign (see memo.go). Outcome-invariant by
-	// construction (invariant 11) and excluded from the identity hash.
-	Memo bool
-	// MemoCache, when non-nil, is the shared memoization cache to use
-	// (implies Memo). Cluster workers pass one per campaign so entries
-	// are shared across all leased work units; leaving it nil with Memo
-	// set gives the scan a private per-call cache. The cache binds to the
-	// first campaign identity and cycle budget it serves and rejects any
-	// other — entries are only transferable between experiments with
-	// identical machine semantics and budget.
+	// MemoCache, when non-nil, is the cross-experiment memoization cache
+	// the snapshot strategy shares across scans: post-injection machine
+	// states are hashed at probe boundaries and "suffix state → outcome
+	// remainder" entries are shared across all experiments of the
+	// campaign (see memo.go). Every snapshot scan memoizes — nil gives
+	// the scan a private per-call cache — and the cache itself decides,
+	// from its own warm-up, whether memo keeps paying for the campaign.
+	// Cluster workers pass one per campaign so entries and that decision
+	// carry across all leased work units. The cache binds to the first
+	// campaign identity and cycle budget it serves and rejects any other
+	// — entries are only transferable between experiments with identical
+	// machine semantics and budget. The rerun strategy never memoizes.
+	// Outcome-invariant by construction (invariant 11) and excluded from
+	// the identity hash.
 	MemoCache *MemoCache
 	// Objective, when non-nil, is the attacker-objective predicate
 	// evaluated on every classified experiment (see objective.go): the
@@ -132,6 +133,11 @@ type Config struct {
 	// memoInterval). Only in-package tests set it, to probe densely on
 	// programs shorter than memoMinInterval.
 	memoEvery uint64
+	// memoForce, when non-zero, settles memo admission up front instead
+	// of after the warm-up (see memo.go). Only in-package tests set it,
+	// to keep memo coverage on campaigns the rule would refuse and to
+	// exercise the refused path.
+	memoForce memoDecision
 }
 
 // Defaults for Config.
@@ -173,12 +179,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("campaign: unknown strategy %d", c.Strategy)
 	}
 	return nil
-}
-
-// memoEnabled reports whether outcome memoization is on: either the
-// flag is set or the caller supplied a shared cache.
-func (c Config) memoEnabled() bool {
-	return c.Memo || c.MemoCache != nil
 }
 
 // timeoutBudget computes the per-experiment cycle budget.

@@ -26,14 +26,20 @@ type scanTel struct {
 	// attacks counts attack-flagged outcomes (nil without an objective).
 	attacks *telemetry.Counter
 
-	// Memoization counters (nil with memoization off): memoHits counts
-	// experiments whose remainder was composed from a cached entry,
-	// memoMisses counts cache probes that recorded a mark instead,
-	// memoGated counts probes skipped by the admission gate because the
-	// remaining cycle budget could not repay the hash cost.
-	memoHits   *telemetry.Counter
-	memoMisses *telemetry.Counter
-	memoGated  *telemetry.Counter
+	// Memoization counters (nil under the rerun strategy): memoHits
+	// counts experiments whose remainder was composed from a cached
+	// entry, memoSaved the cycles those hits skipped, memoMisses cache
+	// probes that recorded a mark instead, and memoGated probes skipped
+	// by the per-probe break-even cutoff because the remaining cycle
+	// budget could not repay the hash cost. memoAdmitted and memoRefused
+	// count admission decisions, one per campaign cache that reached the
+	// end of its warm-up.
+	memoHits     *telemetry.Counter
+	memoSaved    *telemetry.Counter
+	memoMisses   *telemetry.Counter
+	memoGated    *telemetry.Counter
+	memoAdmitted *telemetry.Counter
+	memoRefused  *telemetry.Counter
 	// predecodeInvals accumulates predecode-cache invalidations across
 	// the scan's machines (nil with predecode off). Structurally zero for
 	// Harvard-architecture campaign machines — the ROM is fault-immune,
@@ -57,10 +63,13 @@ func newScanTel(cfg Config) *scanTel {
 	if cfg.Objective != nil {
 		st.attacks = r.Counter("scan.attacks")
 	}
-	if cfg.memoEnabled() {
+	if cfg.MemoCache != nil {
 		st.memoHits = r.Counter("memo.hits")
+		st.memoSaved = r.Counter("memo.saved_cycles")
 		st.memoMisses = r.Counter("memo.misses")
 		st.memoGated = r.Counter("memo.gated")
+		st.memoAdmitted = r.Counter("memo.admitted")
+		st.memoRefused = r.Counter("memo.refused")
 	}
 	if cfg.Predecode {
 		st.predecodeInvals = r.Counter("predecode.invalidations")

@@ -424,7 +424,9 @@ func TestWindowedWorkerRates(t *testing.T) {
 // through the validating Prometheus text-format parser: the registry's
 // instruments and the synthetic per-worker series must all be
 // grammatically correct, and the endpoint must work with or without a
-// registry.
+// registry. The worker shares the registry, so the memo admission series
+// show why the campaign is or is not memoizing: one decision, made once
+// across all of the worker's leased units.
 func TestCoordinatorMetricsExposition(t *testing.T) {
 	tgt, golden, fs := testCampaign(t, "bin_sem2")
 	reg := telemetry.New()
@@ -436,7 +438,7 @@ func TestCoordinatorMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, errs := runCluster(t, coord, []WorkerOptions{{ID: "w1"}})
+	res, errs := runCluster(t, coord, []WorkerOptions{{ID: "w1", Telemetry: reg}})
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}
@@ -481,6 +483,15 @@ func TestCoordinatorMetricsExposition(t *testing.T) {
 	}
 	if doc.Types["faultspace_cluster_lease_duration_seconds"] != "histogram" {
 		t.Error("faultspace_cluster_lease_duration_seconds must be declared a histogram")
+	}
+	admitted := find("faultspace_memo_admitted_total", "", "")
+	refused := find("faultspace_memo_refused_total", "", "")
+	if admitted == nil || refused == nil || admitted.Value+refused.Value != 1 {
+		t.Errorf("memo admission series admitted=%+v refused=%+v, want present and one decision over %d classes",
+			admitted, refused, len(fs.Classes))
+	}
+	if find("faultspace_memo_saved_cycles_total", "", "") == nil {
+		t.Error("faultspace_memo_saved_cycles_total missing")
 	}
 
 	// Without a registry the endpoint still serves (per-worker series

@@ -45,12 +45,6 @@ type WorkerOptions struct {
 	// Predecode enables the simulator's pre-decoded dispatch stream on
 	// this worker's machines. Outcome-invariant and local to this worker.
 	Predecode bool
-	// Memo enables cross-experiment outcome memoization. The worker keeps
-	// one cache per campaign, shared across all the units it leases — the
-	// biggest win of the pool+memo combination, since leased units of the
-	// same campaign funnel through many common post-fault states.
-	// Outcome-invariant (invariant 11) and local to this worker.
-	Memo bool
 	// MaxRetries bounds consecutive failed attempts per request before
 	// the worker gives up (default 6).
 	MaxRetries int
@@ -194,11 +188,11 @@ func (w *worker) rebuild(spec Spec) error {
 	cfg.Telemetry = w.opts.Telemetry
 	cfg.Spans = w.spans
 	cfg.Pool = pool
-	if w.opts.Memo {
-		// One cache per campaign, like the pool: every leased unit's
-		// RunClasses call shares (and grows) the same entries.
-		cfg.MemoCache = campaign.NewMemoCache()
-	}
+	// One memo cache per campaign, like the pool: every leased unit's
+	// RunClasses call shares (and grows) the same entries, and the
+	// campaign's memo admission decision, once made, holds for all of
+	// them.
+	cfg.MemoCache = campaign.NewMemoCache()
 	w.target, w.golden, w.space, w.cfg, w.spec = t, g, fs, cfg, spec
 	return nil
 }

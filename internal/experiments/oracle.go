@@ -59,13 +59,13 @@ func (r *OracleReport) Ok() bool { return len(r.Mismatches) == 0 }
 
 // RandomCoordinateOracle runs the differential oracle for one program:
 // a pruned scan with all accelerators on (opts.Space selects the fault
-// model; Predecode and Memo are forced on, the strategy is kept), then
+// model; Predecode is forced on, the strategy is kept, and a snapshot
+// scan memoizes as its campaign's admission decides), then
 // n seeded-random raw coordinates replayed by brute force. The returned
 // report lists every disagreement; an empty Mismatches slice is the
 // invariant-13 verdict.
 func RandomCoordinateOracle(p *faultspace.Program, opts faultspace.ScanOptions, n int, seed int64) (*OracleReport, error) {
 	opts.Predecode = true
-	opts.Memo = true
 	scan, err := faultspace.Scan(p, opts)
 	if err != nil {
 		return nil, err

@@ -150,7 +150,7 @@ type FleetOptions struct {
 	// ID names the worker (default "f<pid>").
 	ID string
 	// Worker carries the per-campaign execution options (strategy,
-	// parallelism, predecode, memo, retry budget). Identity, Interrupt
+	// parallelism, predecode, retry budget). Identity, Interrupt
 	// and Telemetry interact with the fleet loop as described below.
 	Worker cluster.WorkerOptions
 	// PollInterval is the wait between handshakes when no campaign is

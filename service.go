@@ -43,7 +43,7 @@ type CampaignServiceOptions struct {
 	// campaigns without external workers joining.
 	LocalWorkers int
 	// WorkerOptions configures the local fleet workers (strategy,
-	// parallelism, predecode, memo). WorkerID and Telemetry are managed
+	// parallelism, predecode). WorkerID and Telemetry are managed
 	// by the service; Interrupt is wired to the service's Interrupt.
 	WorkerOptions JoinOptions
 	// Interrupt, when closed, drains the service gracefully: new
@@ -133,7 +133,6 @@ func ServeCampaigns(addr string, opts CampaignServiceOptions) error {
 					Workers:   w.Workers,
 					Strategy:  w.Strategy,
 					Predecode: w.Predecode,
-					Memo:      w.Memo,
 				},
 				Interrupt: opts.Interrupt,
 				// Point each assigned campaign's engine counters at that
@@ -296,7 +295,6 @@ func JoinServiceFleet(addr string, opts FleetOptions) error {
 		Workers:   opts.Workers,
 		Strategy:  opts.Strategy,
 		Predecode: opts.Predecode,
-		Memo:      opts.Memo,
 		Telemetry: opts.Telemetry,
 	}
 	err := service.JoinFleet(normalizeURL(addr), service.FleetOptions{
