@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check vet build test race race-service race-spaces race-observability race-memo fuzz-smoke bench bench-telemetry bench-smoke
+.PHONY: check vet build test race race-service race-spaces race-observability race-memo race-fleet fuzz-smoke bench bench-telemetry bench-smoke
 
 # check is the tier-1 gate: everything a PR must keep green.
-check: vet build test race race-service race-spaces race-observability race-memo fuzz-smoke bench-telemetry bench-smoke
+check: vet build test race race-service race-spaces race-observability race-memo race-fleet fuzz-smoke bench-telemetry bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -57,13 +57,24 @@ race-observability:
 race-memo:
 	$(GO) test -race -count=2 -run=TestMemo ./internal/campaign
 
+# Held requests under the race detector: the coordinator holds an idle
+# worker's lease request and the service an idle fleet worker's
+# handshake until there is an answer, waking them through a channel
+# replaced under the lock — an expired lease regranted at its deadline,
+# an interrupt cancelling a held request, an idle worker picking up a
+# later campaign, and a worker killed mid-unit. -count=2 shakes out
+# ordering-dependent races, exactly like race-service.
+race-fleet:
+	$(GO) test -race -count=2 -run='TestLeaseHeldUntilExpiry|TestInterruptDuringHeldLease|TestClusterKillWorkerMidScan' ./internal/cluster
+	$(GO) test -race -count=2 -run='TestIdleFleetHandshakeHeld|TestInterruptDuringHeldHandshake|TestFleetUnreachableGivesUp|TestCancelAndDrain' ./internal/service
+
 # A short deterministic-corpus + 10s randomized smoke of the attack
 # surfaces: the binary decoders exposed to untrusted bytes
 # (corrupted checkpoint files, mutated cluster wire frames and damaged
 # service archive entries must error, never panic), and the predecode
-# fast path under self-modifying stores and code-region bit flips (the
-# pre-decoded dispatch stream must stay lockstep-identical to the plain
-# decoder through precise invalidation). The attack-space coordinate codecs are
+# fast path under program stores and injected RAM and register bit
+# flips (the pre-decoded dispatch stream must stay lockstep-identical to
+# the plain Step loop). The attack-space coordinate codecs are
 # covered the same way: the burst (k, pos) decoder must reject or decode
 # to an exact adjacent mask, and skip-space class lists must survive the
 # archive/wire FromClasses round trip.

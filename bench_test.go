@@ -246,27 +246,72 @@ type scanBenchResult struct {
 	Counters map[string]float64 `json:"counters_per_op,omitempty"`
 }
 
-var scanBench struct {
-	sync.Mutex
-	results []scanBenchResult
+// clusterBenchResult is one tracked row of BenchmarkClusterScan, emitted
+// to BENCH_cluster.json by TestMain: a distributed full scan over
+// loopback with Workers fleet workers.
+type clusterBenchResult struct {
+	Benchmark string  `json:"benchmark"`
+	Strategy  string  `json:"strategy"`
+	Workers   int     `json:"workers"`
+	Classes   int     `json:"classes"`
+	NsPerOp   float64 `json:"ns_per_op"`
 }
 
-// TestMain emits BENCH_scan.json after a benchmark run that exercised
-// BenchmarkFullScan; plain `go test` runs write nothing, and setting
-// BENCH_SKIP_WRITE suppresses the write for smoke runs (`make
-// bench-smoke` runs one un-calibrated iteration per strategy — numbers
-// that must not clobber the tracked timings).
+// benchRows collects the tracked rows of one BENCH_*.json file. The
+// framework re-runs each sub-benchmark while calibrating b.N, so a row
+// replaces an earlier one with the same key: only the final (longest)
+// run is kept.
+type benchRows[T any] struct {
+	sync.Mutex
+	keys []string
+	rows []T
+}
+
+func (r *benchRows[T]) record(key string, row T) {
+	r.Lock()
+	defer r.Unlock()
+	for i, k := range r.keys {
+		if k == key {
+			r.rows[i] = row
+			return
+		}
+	}
+	r.keys = append(r.keys, key)
+	r.rows = append(r.rows, row)
+}
+
+// write saves the rows to file, if the run produced any.
+func (r *benchRows[T]) write(file string) {
+	r.Lock()
+	defer r.Unlock()
+	if len(r.rows) == 0 {
+		return
+	}
+	data, err := json.MarshalIndent(r.rows, "", "  ")
+	if err == nil {
+		err = os.WriteFile(file, append(data, '\n'), 0o644)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bench:", file+":", err)
+	}
+}
+
+var (
+	scanBench    benchRows[scanBenchResult]
+	clusterBench benchRows[clusterBenchResult]
+)
+
+// TestMain emits BENCH_scan.json and BENCH_cluster.json after a
+// benchmark run that exercised BenchmarkFullScan or BenchmarkClusterScan;
+// plain `go test` runs write nothing, and setting BENCH_SKIP_WRITE
+// suppresses the write for smoke runs (`make bench-smoke` runs one
+// un-calibrated iteration per strategy — numbers that must not clobber
+// the tracked timings).
 func TestMain(m *testing.M) {
 	code := m.Run()
-	scanBench.Lock()
-	results := scanBench.results
-	scanBench.Unlock()
-	if code == 0 && len(results) > 0 && os.Getenv("BENCH_SKIP_WRITE") == "" {
-		if data, err := json.MarshalIndent(results, "", "  "); err == nil {
-			if err := os.WriteFile("BENCH_scan.json", append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "bench: BENCH_scan.json:", err)
-			}
-		}
+	if code == 0 && os.Getenv("BENCH_SKIP_WRITE") == "" {
+		scanBench.write("BENCH_scan.json")
+		clusterBench.write("BENCH_cluster.json")
 	}
 	os.Exit(code)
 }
@@ -304,8 +349,8 @@ func BenchmarkFullScan(b *testing.B) {
 		// quantify the pre-decoded dispatch stream on top. Every snapshot
 		// row memoizes as its campaign's admission decides — these
 		// baselines are refused after the warm-up — and the memo.* and
-		// predecode.invalidations counters land in BENCH_scan.json
-		// alongside the timings they explain.
+		// predecode counters land in BENCH_scan.json alongside the
+		// timings they explain.
 		{"snapshot", faultspace.StrategySnapshot, false},
 		{"rerun", faultspace.StrategyRerun, false},
 		{"snapshot+pre", faultspace.StrategySnapshot, true},
@@ -392,19 +437,7 @@ func runFullScanBench(b *testing.B, p *faultspace.Program, benchName, stratName 
 	if opts.Space != 0 && opts.Space != faultspace.SpaceMemory {
 		r.Space = opts.Space.String()
 	}
-	// The framework re-runs each sub-benchmark while calibrating b.N;
-	// keep only the final (longest) run.
-	scanBench.Lock()
-	defer scanBench.Unlock()
-	for i := range scanBench.results {
-		if scanBench.results[i].Benchmark == r.Benchmark &&
-			scanBench.results[i].Strategy == r.Strategy &&
-			scanBench.results[i].Space == r.Space {
-			scanBench.results = append(scanBench.results[:i], scanBench.results[i+1:]...)
-			break
-		}
-	}
-	scanBench.results = append(scanBench.results, r)
+	scanBench.record(r.Benchmark+"/"+r.Strategy+"/"+r.Space, r)
 }
 
 // BenchmarkAblationSnapshotVsRerun compares the two experiment-execution
@@ -486,8 +519,8 @@ func BenchmarkAblationGranularity(b *testing.B) {
 // BenchmarkClusterScan measures a distributed full scan over loopback
 // HTTP with 1, 2 and 4 workers against the same campaign, exposing the
 // coordination overhead and the scaling of leased work units (DESIGN.md
-// §4b). Compare with BenchmarkAblationParallelScan for the in-process
-// parallelism baseline.
+// §4b); its rows feed BENCH_cluster.json. Compare with
+// BenchmarkAblationParallelScan for the in-process parallelism baseline.
 func BenchmarkClusterScan(b *testing.B) {
 	p, err := progs.BinSem2(benchSizes.BinSemRounds).Baseline()
 	if err != nil {
@@ -502,6 +535,7 @@ func BenchmarkClusterScan(b *testing.B) {
 	} {
 		for _, workers := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("strategy=%s/workers=%d", strat.name, workers), func(b *testing.B) {
+				classes := 0
 				for i := 0; i < b.N; i++ {
 					addrCh := make(chan string, 1)
 					var wg sync.WaitGroup
@@ -520,15 +554,23 @@ func BenchmarkClusterScan(b *testing.B) {
 							}(j)
 						}
 					}()
-					_, err := faultspace.ServeScan(p, "127.0.0.1:0", faultspace.ServeOptions{
+					res, err := faultspace.ServeScan(p, "127.0.0.1:0", faultspace.ServeOptions{
 						UnitSize: 16,
 						OnListen: func(addr string) { addrCh <- addr },
 					})
 					if err != nil {
 						b.Fatal(err)
 					}
+					classes = len(res.Outcomes)
 					wg.Wait()
 				}
+				clusterBench.record(b.Name(), clusterBenchResult{
+					Benchmark: "bin_sem2",
+					Strategy:  strat.name,
+					Workers:   workers,
+					Classes:   classes,
+					NsPerOp:   float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+				})
 			})
 		}
 	}

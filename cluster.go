@@ -84,30 +84,8 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 	var w *checkpoint.Writer
 	var prior map[int]campaign.Outcome
 	if opts.Checkpoint != "" {
-		id, err := t.CampaignIdentity(fs.Kind, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("faultspace: %w", err)
-		}
-		hdr := checkpoint.Header{Version: checkpoint.Version, Identity: id, Classes: uint64(len(fs.Classes))}
-		if opts.Resume {
-			var raw map[int]uint8
-			w, raw, err = checkpoint.Open(opts.Checkpoint, hdr)
-			if err != nil {
-				return nil, fmt.Errorf("faultspace: %w", err)
-			}
-			prior = make(map[int]campaign.Outcome, len(raw))
-			for ci, o := range raw {
-				if !campaign.Outcome(o).Known() {
-					w.Close()
-					return nil, fmt.Errorf("faultspace: checkpoint class %d has unknown outcome %d", ci, o)
-				}
-				prior[ci] = campaign.Outcome(o)
-			}
-		} else {
-			w, err = checkpoint.Create(opts.Checkpoint, hdr)
-			if err != nil {
-				return nil, fmt.Errorf("faultspace: %w (resume to continue an existing checkpoint)", err)
-			}
+		if w, prior, err = openCheckpoint(t, fs, cfg, opts.ScanOptions); err != nil {
+			return nil, err
 		}
 	}
 
@@ -122,7 +100,6 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 		Pprof:            opts.Pprof,
 	}
 	if w != nil {
-		w.Instrument(opts.Telemetry)
 		copts.OnResult = func(ci int, o campaign.Outcome) { w.Append(ci, uint8(o)) }
 	}
 	coord, err := cluster.NewCoordinator(t, golden, fs, cfg, copts, prior)
@@ -148,7 +125,7 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 	go func() { serveErr <- srv.Serve(ln) }()
 
 	res, scanErr := coord.Wait()
-	// Let polling workers fetch their done/shutdown notice before tearing
+	// Let waiting workers fetch their done/shutdown notice before tearing
 	// the server down; workers deregister via /v1/leave as they exit. On
 	// the interrupt path this also lets in-flight units finish submitting,
 	// so their experiments are recorded — the cluster analogue of the
@@ -215,22 +192,25 @@ type JoinOptions struct {
 // completes. Requests are retried with exponential backoff; a worker
 // whose campaign identity differs from the coordinator's is rejected.
 func JoinScan(addr string, opts JoinOptions) error {
-	wopts := cluster.WorkerOptions{
-		ID:        opts.WorkerID,
-		Workers:   opts.Workers,
-		Strategy:  opts.Strategy,
-		Predecode: opts.Predecode,
-		Interrupt: opts.Interrupt,
-		Logf:      opts.Logf,
-		Telemetry: opts.Telemetry,
-	}
-	if err := cluster.Join(normalizeURL(addr), wopts); err != nil {
+	if err := cluster.Join(normalizeURL(addr), opts.workerOptions()); err != nil {
 		if errors.Is(err, campaign.ErrInterrupted) {
 			return fmt.Errorf("faultspace: %w", campaign.ErrInterrupted)
 		}
 		return fmt.Errorf("faultspace: %w", err)
 	}
 	return nil
+}
+
+func (o JoinOptions) workerOptions() cluster.WorkerOptions {
+	return cluster.WorkerOptions{
+		ID:        o.WorkerID,
+		Workers:   o.Workers,
+		Strategy:  o.Strategy,
+		Predecode: o.Predecode,
+		Interrupt: o.Interrupt,
+		Logf:      o.Logf,
+		Telemetry: o.Telemetry,
+	}
 }
 
 // normalizeURL accepts bare host:port coordinator addresses.

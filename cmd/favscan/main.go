@@ -75,7 +75,7 @@ func run(args []string, w, errW io.Writer) error {
 		fleetFl  = fs.String("fleet", "", "join the favserve service at this address as a long-lived fleet worker")
 		workerID = fs.String("worker-id", "", "worker name in cluster statistics (default w<pid>)")
 		unitSize = fs.Int("unit-size", 0, "classes per leased work unit (coordinator; default 256)")
-		leaseTTL = fs.Duration("lease", 0, "work-unit lease TTL before reassignment (coordinator; default 10s)")
+		leaseTTL = fs.Duration("lease", 0, "work-unit lease TTL before reassignment; idle workers' lease requests are held up to a third of it (coordinator; default 10s)")
 		outcomes = fs.Bool("outcomes", false, "dump per-class outcomes (full scans only)")
 		saveTo   = fs.String("save", "", "write the full-scan result as a JSON archive to this file")
 		loadFrom = fs.String("load", "", "analyze a previously saved scan archive instead of scanning")
@@ -144,12 +144,19 @@ func run(args []string, w, errW io.Writer) error {
 		return fmt.Errorf("-metrics requires a campaign executing in this process (not -load or -submit)")
 	}
 
-	if *join != "" {
+	if *join != "" || *fleetFl != "" {
+		// A worker: of a single coordinator (-join) or of a campaign
+		// service's fleet (-fleet). Either way the campaign comes over the
+		// wire, so no campaign flags apply.
+		mode, origin := "-join", "the campaign comes from the coordinator's handshake"
+		if *fleetFl != "" {
+			mode, origin = "-fleet", "campaigns are assigned by the service"
+		}
 		if fs.NArg() != 0 {
-			return fmt.Errorf("-join takes no benchmark argument: the campaign comes from the coordinator's handshake")
+			return fmt.Errorf("%s takes no benchmark argument: %s", mode, origin)
 		}
 		if *sample > 0 || *loadFrom != "" || *saveTo != "" || *ckpt != "" || *outcomes {
-			return fmt.Errorf("-join is a pure worker: it accepts no campaign, archive or checkpoint flags")
+			return fmt.Errorf("%s is a pure worker: it accepts no campaign, archive or checkpoint flags", mode)
 		}
 		jopts := faultspace.JoinOptions{
 			WorkerID:  *workerID,
@@ -173,42 +180,13 @@ func run(args []string, w, errW io.Writer) error {
 			}
 			defer stop()
 		}
-		err := faultspace.JoinScan(*join, jopts)
+		var err error
+		if *join != "" {
+			err = faultspace.JoinScan(*join, jopts)
+		} else {
+			err = faultspace.JoinServiceFleet(*fleetFl, jopts)
+		}
 		printTelemetrySummary(errW, jopts.Telemetry)
-		return err
-	}
-
-	if *fleetFl != "" {
-		if fs.NArg() != 0 {
-			return fmt.Errorf("-fleet takes no benchmark argument: campaigns are assigned by the service")
-		}
-		if *sample > 0 || *loadFrom != "" || *saveTo != "" || *ckpt != "" || *outcomes {
-			return fmt.Errorf("-fleet is a pure worker: it accepts no campaign, archive or checkpoint flags")
-		}
-		fopts := faultspace.FleetOptions{JoinOptions: faultspace.JoinOptions{
-			WorkerID:  *workerID,
-			Workers:   *workers,
-			Strategy:  strat,
-			Predecode: *predec,
-		}}
-		if *progress {
-			fopts.Logf = func(format string, args ...any) {
-				fmt.Fprintf(errW, format+"\n", args...)
-			}
-			fopts.Telemetry = faultspace.NewTelemetry()
-		}
-		if *metricFl != "" {
-			if fopts.Telemetry == nil {
-				fopts.Telemetry = faultspace.NewTelemetry()
-			}
-			stop, err := serveMetrics(*metricFl, fopts.Telemetry, errW)
-			if err != nil {
-				return err
-			}
-			defer stop()
-		}
-		err := faultspace.JoinServiceFleet(*fleetFl, fopts)
-		printTelemetrySummary(errW, fopts.Telemetry)
 		return err
 	}
 

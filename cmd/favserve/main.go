@@ -49,7 +49,7 @@ func run(args []string, w, errW io.Writer) error {
 		maxActive  = fs.Int("max-active", 0, "campaigns running concurrently (default 2)")
 		maxQueued  = fs.Int("max-queued", 0, "queued campaigns across all tenants before 429 backpressure (default 16)")
 		unitSize   = fs.Int("unit-size", 0, "classes per leased work unit (default 256)")
-		leaseTTL   = fs.Duration("lease", 0, "work-unit lease TTL before reassignment (default 10s)")
+		leaseTTL   = fs.Duration("lease", 0, "work-unit lease TTL before reassignment; idle fleet workers' handshakes and lease requests are held up to a third of it (default 10s)")
 		starveTTL  = fs.Duration("starve-after", 0, "starved-tenant watchdog: flag tenants whose campaigns queue longer than this (default 2m)")
 		workers    = fs.Int("workers", 0, "in-process fleet workers executing campaigns (0 = serve only; workers join with favscan -fleet)")
 		parallel   = fs.Int("parallel", 0, "experiment executors per in-process worker (0 = GOMAXPROCS)")

@@ -332,35 +332,10 @@ func Scan(p *Program, opts ScanOptions) (*ScanResult, error) {
 // scanCheckpointed runs a full scan that streams completed experiments
 // into (and, when resuming, restores them from) a checkpoint file.
 func scanCheckpointed(t campaign.Target, golden *Golden, fs *FaultSpace, cfg campaign.Config, opts ScanOptions) (*ScanResult, error) {
-	id, err := t.CampaignIdentity(fs.Kind, cfg)
+	w, prior, err := openCheckpoint(t, fs, cfg, opts)
 	if err != nil {
-		return nil, fmt.Errorf("faultspace: %w", err)
+		return nil, err
 	}
-	hdr := checkpoint.Header{Version: checkpoint.Version, Identity: id, Classes: uint64(len(fs.Classes))}
-
-	var w *checkpoint.Writer
-	var prior map[int]campaign.Outcome
-	if opts.Resume {
-		var raw map[int]uint8
-		w, raw, err = checkpoint.Open(opts.Checkpoint, hdr)
-		if err != nil {
-			return nil, fmt.Errorf("faultspace: %w", err)
-		}
-		prior = make(map[int]campaign.Outcome, len(raw))
-		for ci, o := range raw {
-			if !campaign.Outcome(o).Known() {
-				w.Close()
-				return nil, fmt.Errorf("faultspace: checkpoint class %d has unknown outcome %d", ci, o)
-			}
-			prior[ci] = campaign.Outcome(o)
-		}
-	} else {
-		w, err = checkpoint.Create(opts.Checkpoint, hdr)
-		if err != nil {
-			return nil, fmt.Errorf("faultspace: %w (resume to continue an existing checkpoint)", err)
-		}
-	}
-	w.Instrument(cfg.Telemetry)
 	cfg.OnResult = func(ci int, o campaign.Outcome) { w.Append(ci, uint8(o)) }
 
 	res, scanErr := campaign.ResumeScan(t, golden, fs, cfg, prior)
@@ -376,6 +351,40 @@ func scanCheckpointed(t campaign.Target, golden *Golden, fs *FaultSpace, cfg cam
 		return nil, fmt.Errorf("faultspace: %w", scanErr)
 	}
 	return res, nil
+}
+
+// openCheckpoint creates opts.Checkpoint for the campaign or, with
+// opts.Resume, reopens it and returns the outcomes it already holds by
+// class index. The writer is instrumented with cfg.Telemetry. Shared by
+// local scans and ServeScan.
+func openCheckpoint(t campaign.Target, fs *FaultSpace, cfg campaign.Config, opts ScanOptions) (*checkpoint.Writer, map[int]campaign.Outcome, error) {
+	id, err := t.CampaignIdentity(fs.Kind, cfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("faultspace: %w", err)
+	}
+	hdr := checkpoint.Header{Version: checkpoint.Version, Identity: id, Classes: uint64(len(fs.Classes))}
+	if !opts.Resume {
+		w, err := checkpoint.Create(opts.Checkpoint, hdr)
+		if err != nil {
+			return nil, nil, fmt.Errorf("faultspace: %w (resume to continue an existing checkpoint)", err)
+		}
+		w.Instrument(cfg.Telemetry)
+		return w, nil, nil
+	}
+	w, raw, err := checkpoint.Open(opts.Checkpoint, hdr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("faultspace: %w", err)
+	}
+	prior := make(map[int]campaign.Outcome, len(raw))
+	for ci, o := range raw {
+		if !campaign.Outcome(o).Known() {
+			w.Close()
+			return nil, nil, fmt.Errorf("faultspace: checkpoint class %d has unknown outcome %d", ci, o)
+		}
+		prior[ci] = campaign.Outcome(o)
+	}
+	w.Instrument(cfg.Telemetry)
+	return w, prior, nil
 }
 
 // CampaignIdentity returns the campaign identity hash Scan would use for

@@ -199,7 +199,7 @@ func scanSnapshot(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Co
 	flip := flipFor(fs.Kind)
 
 	var machines []*machine.Machine
-	defer func() { st.addInvalidations(machines); cfg.releaseMachines(machines) }()
+	defer func() { cfg.releaseMachines(machines) }()
 
 	pioneer, err := cfg.acquireMachine(t)
 	if err != nil {
@@ -305,7 +305,7 @@ func scanRerun(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Confi
 	flip := flipFor(fs.Kind)
 
 	var machines []*machine.Machine
-	defer func() { st.addInvalidations(machines); cfg.releaseMachines(machines) }()
+	defer func() { cfg.releaseMachines(machines) }()
 
 	work := make(chan int)
 	results := make(chan record, cfg.Workers*2)

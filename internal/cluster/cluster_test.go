@@ -167,7 +167,7 @@ func TestClusterKillWorkerMidScan(t *testing.T) {
 			}
 		},
 	}
-	survivor := WorkerOptions{ID: "survivor", PollInterval: 20 * time.Millisecond}
+	survivor := WorkerOptions{ID: "survivor"}
 
 	res, errs := runCluster(t, coord, []WorkerOptions{victim, survivor})
 	if !errors.Is(errs[0], campaign.ErrInterrupted) {
@@ -426,5 +426,148 @@ func TestServerClosesSlowLoris(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < ReadHeaderTimeout-time.Second {
 		t.Errorf("connection closed after %v, before the %v header timeout", elapsed, ReadHeaderTimeout)
+	}
+}
+
+// leaseRaw takes a lease the way a worker would and then never touches
+// it again: a worker that dies holding the unit.
+func leaseRaw(t *testing.T, url string, coord *Coordinator, workerID string) WorkUnit {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/lease", "application/octet-stream",
+		bytes.NewReader(EncodeLeaseRequest(LeaseRequest{Identity: coord.Identity(), WorkerID: workerID})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := DecodeWorkUnit(body)
+	if err != nil || u.Status != UnitGranted {
+		t.Fatalf("lease: %+v, %v", u, err)
+	}
+	return u
+}
+
+// TestLeaseHeldUntilExpiry: a worker dies holding the campaign's only
+// unit; an idle worker whose lease request the coordinator is holding
+// gets that unit when the dead worker's lease expires — within LeaseTTL
+// plus 50 ms of the grant, not at the next poll after it.
+func TestLeaseHeldUntilExpiry(t *testing.T) {
+	const ttl = 300 * time.Millisecond
+	tgt, golden, fs := testCampaign(t, "hi")
+	for round := 0; round < 3; round++ {
+		coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
+			UnitSize:        len(fs.Classes),
+			LeaseTTL:        ttl,
+			MaxGoldenCycles: testMaxGolden,
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(coord.Handler())
+		leaseRaw(t, srv.URL, coord, "dead")
+		granted := time.Now()
+		// Start the idle worker off the LeaseTTL/3 grid its held requests
+		// would otherwise share with the expiry, so only the expiry wake
+		// can regrant the unit on time.
+		time.Sleep(ttl * 3 / 5)
+		var regrant time.Duration
+		err = Join(srv.URL, WorkerOptions{ID: "idle", onUnit: func(u WorkUnit) {
+			if u.Status == UnitGranted && regrant == 0 {
+				regrant = time.Since(granted)
+			}
+		}})
+		srv.Close()
+		if err != nil {
+			t.Fatalf("round %d: idle worker: %v", round, err)
+		}
+		if regrant < ttl || regrant > ttl+50*time.Millisecond {
+			t.Errorf("round %d: expired unit regranted %v after the dead worker's grant, want within [%v, %v]",
+				round, regrant, ttl, ttl+50*time.Millisecond)
+		}
+		if got := coord.Snapshot().Reassignments; got != 1 {
+			t.Errorf("round %d: reassignments = %d, want 1", round, got)
+		}
+	}
+}
+
+// TestHeldLeaseReleased: while the campaign's only unit sits with a
+// silent holder (default TTL, so it does not expire), an idle worker's
+// lease request is held — and answered at once when the answer changes,
+// not when the hold runs out: the worker's own Interrupt ends Join with
+// ErrInterrupted, the coordinator's interrupt with ErrShutdown, and the
+// holder's leave hands the idle worker the unit to finish the campaign.
+func TestHeldLeaseReleased(t *testing.T) {
+	tgt, golden, fs := testCampaign(t, "hi")
+	for _, tc := range []struct {
+		name    string
+		release func(url string, coord *Coordinator, workerIntr, coordIntr chan struct{})
+		want    error
+	}{
+		{"worker interrupt", func(_ string, _ *Coordinator, workerIntr, _ chan struct{}) { close(workerIntr) }, campaign.ErrInterrupted},
+		{"coordinator interrupt", func(_ string, _ *Coordinator, _, coordIntr chan struct{}) { close(coordIntr) }, ErrShutdown},
+		{"holder leaves", func(url string, coord *Coordinator, _, _ chan struct{}) {
+			resp, err := http.Post(url+"/v1/leave", "application/octet-stream",
+				bytes.NewReader(EncodeLeaseRequest(LeaseRequest{Identity: coord.Identity(), WorkerID: "holder"})))
+			if err == nil {
+				resp.Body.Close()
+			}
+		}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coordIntr := make(chan struct{})
+			coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
+				UnitSize:        len(fs.Classes),
+				MaxGoldenCycles: testMaxGolden,
+				Interrupt:       coordIntr,
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leases := make(chan struct{}, 1)
+			h := coord.Handler()
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/lease" {
+					select {
+					case leases <- struct{}{}:
+					default:
+					}
+				}
+				h.ServeHTTP(w, r)
+			}))
+			defer srv.Close()
+			waited := make(chan struct{})
+			go func() { coord.Wait(); close(waited) }()
+			defer func() {
+				select {
+				case <-coordIntr:
+				default:
+					close(coordIntr)
+				}
+				<-waited
+			}()
+			leaseRaw(t, srv.URL, coord, "holder")
+			<-leases
+
+			workerIntr := make(chan struct{})
+			done := make(chan error, 1)
+			go func() { done <- Join(srv.URL, WorkerOptions{ID: "idle", Interrupt: workerIntr}) }()
+			<-leases // the idle worker's lease request, which the coordinator holds
+			tc.release(srv.URL, coord, workerIntr, coordIntr)
+			start := time.Now()
+			select {
+			case err := <-done:
+				if !errors.Is(err, tc.want) {
+					t.Errorf("Join: %v, want %v", err, tc.want)
+				}
+				if d := time.Since(start); d > 500*time.Millisecond {
+					t.Errorf("Join returned %v after the release, want within 500ms", d)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Join did not return after the release")
+			}
+		})
 	}
 }

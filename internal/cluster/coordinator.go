@@ -54,12 +54,6 @@ type Options struct {
 	// The trace ID is observability identity only and never feeds the
 	// campaign identity hash (invariant 15).
 	TraceID telemetry.TraceID
-	// SpanCapacity bounds the merged campaign timeline: the
-	// coordinator's own spans plus every span workers ship back with
-	// submissions (default DefaultTimelineCapacity). Beyond capacity the
-	// newest spans are dropped and the loss is self-described via the
-	// recorder's drop counter in /debug/telemetry.
-	SpanCapacity int
 	// RateWindow is the averaging window for the per-worker
 	// experiments-per-second rates in /v1/status (default
 	// DefaultRateWindow). Rates cover the last full window, so an idle
@@ -77,10 +71,13 @@ const (
 	DefaultLeaseTTL = 10 * time.Second
 	// DefaultRateWindow is the /v1/status per-worker rate window.
 	DefaultRateWindow = 5 * time.Second
-	// DefaultTimelineCapacity is the default span budget for the merged
-	// campaign timeline — four times a single recorder's default, since
-	// the coordinator aggregates a whole fleet.
-	DefaultTimelineCapacity = 4 * telemetry.DefaultSpanCapacity
+	// DefaultTimelineCapacity bounds the merged campaign timeline: the
+	// coordinator's own spans plus every span workers ship back with
+	// submissions — four times a single recorder's default, since the
+	// coordinator aggregates a whole fleet. Beyond it the newest spans
+	// are dropped and the loss is self-described via the recorder's drop
+	// counter in /debug/telemetry.
+	DefaultTimelineCapacity = 4 * telemetry.DefaultRecorderCapacity
 )
 
 func (o Options) withDefaults() Options {
@@ -95,9 +92,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RateWindow == 0 {
 		o.RateWindow = DefaultRateWindow
-	}
-	if o.SpanCapacity == 0 {
-		o.SpanCapacity = DefaultTimelineCapacity
 	}
 	return o
 }
@@ -208,6 +202,9 @@ type Coordinator struct {
 	interrupted bool
 	sealed      bool
 	finished    chan struct{}
+	// wake is closed (and replaced) whenever a held lease request could
+	// now get a different answer; see handleLease.
+	wake chan struct{}
 
 	// Fleet timeline: the campaign trace ID from the spec and the merged
 	// span recorder (the coordinator's own spans plus the spans workers
@@ -266,6 +263,7 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 		flagged:  make(map[string]bool),
 		start:    time.Now(),
 		finished: make(chan struct{}),
+		wake:     make(chan struct{}),
 	}
 	reg := opts.Telemetry
 	c.telGranted = reg.Counter("cluster.leases_granted")
@@ -294,7 +292,7 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 		if !opts.TraceID.IsZero() {
 			spec.TraceID = opts.TraceID
 		}
-		c.spans = telemetry.NewSpanRecorder(spec.TraceID, "coordinator", opts.SpanCapacity)
+		c.spans = telemetry.NewSpanRecorder(spec.TraceID, "coordinator", DefaultTimelineCapacity)
 	}
 	c.traceID = spec.TraceID
 	c.spec = EncodeSpec(spec)
@@ -379,7 +377,15 @@ func (c *Coordinator) finishLocked() {
 			Dur:    time.Since(c.start),
 		})
 		close(c.finished)
+		c.wakeLocked()
 	}
+}
+
+// wakeLocked releases every held lease request to re-check for an
+// answer.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // Handler returns the coordinator's HTTP handler. With
@@ -427,6 +433,7 @@ func (c *Coordinator) Wait() (*campaign.Result, error) {
 	case <-interrupt:
 		c.mu.Lock()
 		c.interrupted = true
+		c.wakeLocked()
 		c.emitLocked(true)
 		res := c.resultLocked()
 		c.mu.Unlock()
@@ -441,6 +448,7 @@ func (c *Coordinator) Wait() (*campaign.Result, error) {
 func (c *Coordinator) Seal() {
 	c.mu.Lock()
 	c.sealed = true
+	c.wakeLocked()
 	c.mu.Unlock()
 }
 
@@ -498,6 +506,22 @@ func NewServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
 }
 
+// Hold parks a held request until wake is closed or until passes. It
+// reports false when the client gave up first (its request context was
+// cancelled), so there is nobody left to answer. Shared with the
+// campaign service's handshake hold.
+func Hold(r *http.Request, wake <-chan struct{}, until time.Time) bool {
+	t := time.NewTimer(time.Until(until))
+	defer t.Stop()
+	select {
+	case <-wake:
+	case <-t.C:
+	case <-r.Context().Done():
+		return false
+	}
+	return true
+}
+
 // RequireMethod enforces the single allowed method of an endpoint,
 // answering anything else with 405 and an Allow header per RFC 9110.
 // Shared with the campaign service's endpoints (internal/service).
@@ -545,6 +569,13 @@ func (c *Coordinator) handleHandshake(w http.ResponseWriter, r *http.Request) {
 	w.Write(c.spec)
 }
 
+// handleLease grants a unit or, when none is grantable, holds the
+// request until one could be: a leave requeues units, the campaign
+// finishes, or the coordinator is interrupted or sealed (each closes
+// c.wake), or the earliest outstanding lease deadline passes, so an
+// expired lease is reclaimed at its deadline. A hold lasts at most
+// LeaseTTL/3, the heartbeat period; then the worker gets UnitWait and
+// asks again at once.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
@@ -558,56 +589,80 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !c.admit(w, q.Identity) {
 		return
 	}
-
-	c.mu.Lock()
-	c.touchLocked(q.WorkerID)
-	resp := WorkUnit{Status: UnitWait}
-	switch {
-	case c.interrupted || c.sealed:
-		resp.Status = UnitShutdown
-	case c.remaining == 0:
-		resp.Status = UnitDone
-	default:
-		if len(c.pending) == 0 {
-			c.reclaimExpiredLocked()
+	hold := time.Now().Add(c.opts.LeaseTTL / 3)
+	for {
+		c.mu.Lock()
+		resp, wake, expiry := c.leaseLocked(q.WorkerID)
+		c.mu.Unlock()
+		if resp.Status != UnitWait || !time.Now().Before(hold) {
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Write(EncodeWorkUnit(resp))
+			return
 		}
-		if n := len(c.pending); n > 0 {
-			u := c.pending[n-1]
-			c.pending = c.pending[:n-1]
-			c.nextToken++
-			u.state = unitLeased
-			u.token = c.nextToken
-			u.owner = q.WorkerID
-			u.grantedAt = time.Now()
-			u.deadline = u.grantedAt.Add(c.opts.LeaseTTL)
-			c.leased++
-			c.workers[q.WorkerID].outstanding++
-			resp = WorkUnit{Status: UnitGranted, ID: u.id, Token: u.token, Classes: u.classes}
-			if !c.rampedUp {
-				c.rampedUp = true
-				c.spans.Add(telemetry.Span{
-					Scope:  "coordinator",
-					Name:   "campaign.rampup",
-					Detail: "campaign start to first lease grant",
-					Start:  c.start,
-					Dur:    u.grantedAt.Sub(c.start),
-				})
-			}
-			c.telGranted.Inc()
-			c.opts.Telemetry.Tracef("lease.granted", "unit %d (%d classes) to %s", u.id, len(u.classes), q.WorkerID)
+		if expiry.IsZero() || expiry.After(hold) {
+			expiry = hold
+		}
+		if !Hold(r, wake, expiry) {
+			return
 		}
 	}
-	c.mu.Unlock()
+}
 
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(EncodeWorkUnit(resp))
+// leaseLocked answers one lease request. With nothing grantable it
+// answers UnitWait and also returns what a held request waits on: the
+// current wake channel and the earliest outstanding lease deadline (zero
+// when no unit is leased).
+func (c *Coordinator) leaseLocked(workerID string) (WorkUnit, <-chan struct{}, time.Time) {
+	c.touchLocked(workerID)
+	switch {
+	case c.interrupted || c.sealed:
+		return WorkUnit{Status: UnitShutdown}, nil, time.Time{}
+	case c.remaining == 0:
+		return WorkUnit{Status: UnitDone}, nil, time.Time{}
+	}
+	if len(c.pending) == 0 {
+		c.reclaimExpiredLocked()
+	}
+	n := len(c.pending)
+	if n == 0 {
+		var expiry time.Time
+		for _, u := range c.units {
+			if u.state == unitLeased && (expiry.IsZero() || u.deadline.Before(expiry)) {
+				expiry = u.deadline
+			}
+		}
+		return WorkUnit{Status: UnitWait}, c.wake, expiry
+	}
+	u := c.pending[n-1]
+	c.pending = c.pending[:n-1]
+	c.nextToken++
+	u.state = unitLeased
+	u.token = c.nextToken
+	u.owner = workerID
+	u.grantedAt = time.Now()
+	u.deadline = u.grantedAt.Add(c.opts.LeaseTTL)
+	c.leased++
+	c.workers[workerID].outstanding++
+	if !c.rampedUp {
+		c.rampedUp = true
+		c.spans.Add(telemetry.Span{
+			Scope:  "coordinator",
+			Name:   "campaign.rampup",
+			Detail: "campaign start to first lease grant",
+			Start:  c.start,
+			Dur:    u.grantedAt.Sub(c.start),
+		})
+	}
+	c.telGranted.Inc()
+	c.opts.Telemetry.Tracef("lease.granted", "unit %d (%d classes) to %s", u.id, len(u.classes), workerID)
+	return WorkUnit{Status: UnitGranted, ID: u.id, Token: u.token, Classes: u.classes}, nil, time.Time{}
 }
 
 // reclaimExpiredLocked returns expired leases to the pending pool.
 func (c *Coordinator) reclaimExpiredLocked() {
 	now := time.Now()
 	for _, u := range c.units {
-		if u.state == unitLeased && now.After(u.deadline) {
+		if u.state == unitLeased && !now.Before(u.deadline) {
 			u.state = unitPending
 			c.leased--
 			if wi := c.workers[u.owner]; wi != nil && wi.outstanding > 0 {
@@ -792,14 +847,20 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 		}
 		wi.left = true
 		// Return whatever the worker still holds without waiting for the
-		// lease to expire; a voluntary return is not a reassignment.
+		// lease to expire; a voluntary return is not a reassignment. A
+		// requeued unit is an answer for held lease requests.
+		requeued := false
 		for _, u := range c.units {
 			if u.state == unitLeased && u.owner == q.WorkerID {
 				u.state = unitPending
 				u.owner = ""
 				c.leased--
 				c.pending = append(c.pending, u)
+				requeued = true
 			}
+		}
+		if requeued {
+			c.wakeLocked()
 		}
 		wi.outstanding = 0
 	}

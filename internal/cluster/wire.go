@@ -28,6 +28,12 @@
 //	POST /v1/leave      'L' request → 200 (worker exit notice)
 //	GET  /v1/status     JSON progress snapshot (human/monitoring aid)
 //
+// A campaign service (internal/service) answers /v1/handshake for a
+// whole fleet: an 'F' fleet hello gets a 'V' service hello back, which
+// assigns a campaign or says shutdown. Both coordinator and service hold
+// a lease or handshake they have no answer for yet, up to LeaseTTL/3,
+// before answering wait.
+//
 // Decoders never panic on malformed input — the FuzzWorkUnitDecode fuzz
 // target pins that down, mirroring FuzzCheckpointDecode.
 package cluster
@@ -59,6 +65,9 @@ const (
 	msgWorkUnit  = 'W'
 	msgSubmit    = 'U'
 	msgHeartbeat = 'B'
+	// The campaign service's fleet handshake (internal/service).
+	msgFleetHello   = 'F'
+	msgServiceHello = 'V'
 )
 
 // maxUnitClasses bounds the class count a single work unit or submission
@@ -66,7 +75,7 @@ const (
 const maxUnitClasses = 1 << 20
 
 // maxSubmitSpans bounds the span count one submission may carry — the
-// worker-side recorder holds at most DefaultSpanCapacity spans between
+// worker-side recorder holds at most DefaultRecorderCapacity spans between
 // submissions, so this is generous.
 const maxSubmitSpans = 1 << 16
 
@@ -108,8 +117,8 @@ type Spec struct {
 const (
 	// UnitGranted carries a leased work unit.
 	UnitGranted uint8 = iota
-	// UnitWait means no unit is available right now (all leased); the
-	// worker should poll again shortly.
+	// UnitWait means no unit became grantable while the coordinator
+	// held the request; the worker asks again at once.
 	UnitWait
 	// UnitDone means the campaign is complete; the worker may exit.
 	UnitDone
@@ -117,6 +126,33 @@ const (
 	// worker should exit without waiting for completion.
 	UnitShutdown
 )
+
+// ServiceHello statuses.
+const (
+	// FleetGranted carries the spec of the campaign assigned to the
+	// worker.
+	FleetGranted uint8 = iota
+	// FleetWait means no campaign started while the service held the
+	// handshake; the worker asks again.
+	FleetWait
+	// FleetShutdown means the service is draining; the worker should
+	// exit.
+	FleetShutdown
+)
+
+// FleetHello is a fleet worker's handshake with a campaign service:
+// unlike the single-campaign handshake it does not presume a campaign,
+// it asks to be assigned one.
+type FleetHello struct {
+	WorkerID string
+}
+
+// ServiceHello answers a FleetHello. Spec, present when Status is
+// FleetGranted, is the assigned campaign's encoded spec frame.
+type ServiceHello struct {
+	Status uint8
+	Spec   []byte
+}
 
 // WorkUnit is one leased shard of the campaign: a set of equivalence
 // classes to run. Classes are strictly ascending.
@@ -256,6 +292,20 @@ func EncodeHeartbeat(h Heartbeat) []byte {
 		p = binary.AppendUvarint(p, id)
 	}
 	return checkpoint.AppendFrame(nil, msgHeartbeat, p)
+}
+
+// EncodeFleetHello encodes a fleet handshake frame.
+func EncodeFleetHello(h FleetHello) []byte {
+	p := appendString(make([]byte, 0, 8+len(h.WorkerID)), h.WorkerID)
+	return checkpoint.AppendFrame(nil, msgFleetHello, p)
+}
+
+// EncodeServiceHello encodes a fleet handshake response frame.
+func EncodeServiceHello(h ServiceHello) []byte {
+	p := make([]byte, 0, 16+len(h.Spec))
+	p = append(p, h.Status)
+	p = appendBytes(p, h.Spec)
+	return checkpoint.AppendFrame(nil, msgServiceHello, p)
 }
 
 // --- decoding ------------------------------------------------------------
@@ -550,6 +600,40 @@ func DecodeHeartbeat(data []byte) (Heartbeat, error) {
 	}
 	if h.WorkerID == "" {
 		return Heartbeat{}, fmt.Errorf("%w: empty worker id", ErrWire)
+	}
+	return h, nil
+}
+
+// DecodeFleetHello parses a fleet handshake frame.
+func DecodeFleetHello(data []byte) (FleetHello, error) {
+	payload, err := unframe(data, msgFleetHello)
+	if err != nil {
+		return FleetHello{}, err
+	}
+	r := &reader{data: payload}
+	h := FleetHello{WorkerID: r.str()}
+	if err := r.finish(); err != nil {
+		return FleetHello{}, err
+	}
+	return h, nil
+}
+
+// DecodeServiceHello parses a fleet handshake response frame.
+func DecodeServiceHello(data []byte) (ServiceHello, error) {
+	payload, err := unframe(data, msgServiceHello)
+	if err != nil {
+		return ServiceHello{}, err
+	}
+	r := &reader{data: payload}
+	h := ServiceHello{Status: r.u8()}
+	if spec := r.bytes(); len(spec) > 0 {
+		h.Spec = append([]byte(nil), spec...)
+	}
+	if err := r.finish(); err != nil {
+		return ServiceHello{}, err
+	}
+	if h.Status > FleetShutdown {
+		return ServiceHello{}, fmt.Errorf("%w: unknown service hello status %d", ErrWire, h.Status)
 	}
 	return h, nil
 }

@@ -166,6 +166,23 @@ func TestDecodeRejectsWrongKindAndGarbage(t *testing.T) {
 	if _, err := DecodeWorkUnit(withTail); err == nil {
 		t.Error("trailing bytes must be rejected")
 	}
+	// The fleet handshake frames: kind confusion, garbage, a cut spec
+	// and an unknown status.
+	if _, err := DecodeFleetHello(EncodeServiceHello(ServiceHello{})); err == nil {
+		t.Error("fleet hello decoder must reject a service hello frame")
+	}
+	if _, err := DecodeServiceHello(EncodeFleetHello(FleetHello{})); err == nil {
+		t.Error("service hello decoder must reject a fleet hello frame")
+	}
+	if _, err := DecodeFleetHello([]byte("garbage")); err == nil {
+		t.Error("garbage fleet hello must be rejected")
+	}
+	if _, err := DecodeServiceHello(checkpoint.AppendFrame(nil, 'V', []byte{FleetGranted, 9, 's'})); err == nil {
+		t.Error("service hello with a cut spec must be rejected")
+	}
+	if _, err := DecodeServiceHello(EncodeServiceHello(ServiceHello{Status: FleetShutdown + 1})); err == nil {
+		t.Error("service hello with an unknown status must be rejected")
+	}
 }
 
 // FuzzWorkUnitDecode is the cluster mirror of FuzzCheckpointDecode: the
@@ -178,6 +195,7 @@ func FuzzWorkUnitDecode(f *testing.F) {
 	f.Add(EncodeWorkUnit(WorkUnit{Status: UnitShutdown, ID: ^uint64(0), Token: ^uint64(0)}))
 	f.Add(EncodeSpec(testSpec()))
 	f.Add(EncodeSubmission(Submission{WorkerID: "w", Entries: []checkpoint.Entry{{Class: 1, Outcome: 3}}}))
+	f.Add(EncodeServiceHello(ServiceHello{Status: FleetGranted, Spec: EncodeSpec(testSpec())}))
 	f.Add([]byte{})
 	f.Add([]byte("W garbage that is not a frame"))
 
@@ -205,5 +223,7 @@ func FuzzWorkUnitDecode(f *testing.F) {
 		DecodeSubmission(data)
 		DecodeHeartbeat(data)
 		DecodeLeaseRequest(data)
+		DecodeFleetHello(data)
+		DecodeServiceHello(data)
 	})
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -45,50 +46,33 @@ type WorkerOptions struct {
 	// Predecode enables the simulator's pre-decoded dispatch stream on
 	// this worker's machines. Outcome-invariant and local to this worker.
 	Predecode bool
-	// MaxRetries bounds consecutive failed attempts per request before
-	// the worker gives up (default 6).
-	MaxRetries int
-	// BaseBackoff is the initial retry backoff, doubled per attempt up to
-	// MaxBackoff (defaults 50ms / 2s).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// PollInterval is the wait between lease polls when every unit is
-	// leased out (default 200ms).
-	PollInterval time.Duration
 	// Interrupt, when closed, makes the worker stop abruptly — mid-unit,
 	// without submitting or deregistering, exactly like a crash. The
-	// lease-expiry path of the coordinator must absorb it.
+	// lease-expiry path of the coordinator must absorb it. It also
+	// cancels a request the coordinator is holding.
 	Interrupt <-chan struct{}
 	// Telemetry, when non-nil, instruments the worker's campaign engine
 	// (scan counters, outcome histograms, machine-pool reuse) across all
 	// the units it runs. Session-scoped and local to this worker.
 	Telemetry *telemetry.Registry
-	// Client is the HTTP client (default http.DefaultClient).
-	Client *http.Client
 	// Logf, when non-nil, receives worker life-cycle log lines.
 	Logf func(format string, args ...any)
 	// onUnit is a test hook invoked after each granted lease.
 	onUnit func(u WorkUnit)
 }
 
+// The bounded retry of every worker request: up to maxAttempts tries,
+// the first retry after baseBackoff, doubling up to maxBackoff.
+// Transport errors and 5xx answers are retried; 4xx answers are not.
+const (
+	maxAttempts = 6
+	baseBackoff = 50 * time.Millisecond
+	maxBackoff  = 2 * time.Second
+)
+
 func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.ID == "" {
 		o.ID = fmt.Sprintf("w%d", os.Getpid())
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 6
-	}
-	if o.BaseBackoff == 0 {
-		o.BaseBackoff = 50 * time.Millisecond
-	}
-	if o.MaxBackoff == 0 {
-		o.MaxBackoff = 2 * time.Second
-	}
-	if o.PollInterval == 0 {
-		o.PollInterval = 200 * time.Millisecond
-	}
-	if o.Client == nil {
-		o.Client = http.DefaultClient
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -103,10 +87,7 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 // early, campaign.ErrInterrupted when Options.Interrupt fired, and a
 // permanent error for admission or protocol failures.
 func Join(baseURL string, opts WorkerOptions) error {
-	opts = opts.withDefaults()
-	w := &worker{base: strings.TrimSuffix(baseURL, "/"), opts: opts}
-
-	body, err := w.post("/v1/handshake", nil)
+	body, err := Handshake(baseURL, nil, opts)
 	if err != nil {
 		return err
 	}
@@ -115,6 +96,15 @@ func Join(baseURL string, opts WorkerOptions) error {
 		return fmt.Errorf("cluster: handshake: %w", err)
 	}
 	return JoinCampaign(baseURL, spec, opts)
+}
+
+// Handshake posts a handshake frame to baseURL — empty for the
+// single-campaign protocol of Join, a FleetHello for a service fleet —
+// through the worker's bounded retry, and returns the answer frame.
+func Handshake(baseURL string, hello []byte, opts WorkerOptions) ([]byte, error) {
+	w, stop := newWorker(baseURL, opts.withDefaults())
+	defer stop()
+	return w.post("/v1/handshake", hello)
 }
 
 // JoinCampaign runs the worker loop for a campaign whose spec was
@@ -127,7 +117,8 @@ func JoinCampaign(baseURL string, spec Spec, opts WorkerOptions) error {
 	if spec.Proto != ProtoVersion {
 		return fmt.Errorf("%w: coordinator speaks protocol %d, this worker %d", ErrRejected, spec.Proto, ProtoVersion)
 	}
-	w := &worker{base: strings.TrimSuffix(baseURL, "/"), opts: opts}
+	w, stop := newWorker(baseURL, opts)
+	defer stop()
 	if err := w.rebuild(spec); err != nil {
 		return err
 	}
@@ -139,6 +130,10 @@ func JoinCampaign(baseURL string, spec Spec, opts WorkerOptions) error {
 type worker struct {
 	base string
 	opts WorkerOptions
+	// ctx carries every request; it is cancelled once opts.Interrupt
+	// closes, so even a request the coordinator is holding returns at
+	// once.
+	ctx context.Context
 
 	spec   Spec
 	target campaign.Target
@@ -151,10 +146,22 @@ type worker struct {
 	// is drained into every submission, so spans ride the existing result
 	// path to the coordinator instead of needing their own endpoint.
 	spans *telemetry.SpanRecorder
-	// waitStart anchors the current worker.wait span: set when the first
-	// UnitWait answer of an idle stretch arrives, cleared on any other
-	// answer.
-	waitStart time.Time
+}
+
+// newWorker returns a worker for baseURL whose request context follows
+// opts.Interrupt; stop releases the context.
+func newWorker(baseURL string, opts WorkerOptions) (w *worker, stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	if opts.Interrupt != nil {
+		go func() {
+			select {
+			case <-opts.Interrupt:
+				cancel()
+			case <-ctx.Done():
+			}
+		}()
+	}
+	return &worker{base: strings.TrimSuffix(baseURL, "/"), opts: opts, ctx: ctx}, cancel
 }
 
 // rebuild reconstructs the campaign from the handshake spec via
@@ -203,9 +210,10 @@ func (w *worker) loop() error {
 		if w.interrupted() {
 			return campaign.ErrInterrupted
 		}
-		// Span the lease round trip: on a fleet whose units are small, the
-		// HTTP protocol overhead is where the wall time goes, and a timeline
-		// that leaves it dark would misattribute it to the scans.
+		// Span the lease round trip, including the time the coordinator
+		// held it: on a fleet whose units are small, protocol time is where
+		// the wall time goes, and a timeline that leaves it dark would
+		// misattribute it to the scans.
 		sp := w.spans.Start("worker.lease")
 		body, err := w.post("/v1/lease", leaseReq)
 		if err != nil {
@@ -221,16 +229,6 @@ func (w *worker) loop() error {
 		if w.opts.onUnit != nil {
 			w.opts.onUnit(u)
 		}
-		if u.Status == UnitWait {
-			if w.spans != nil && w.waitStart.IsZero() {
-				w.waitStart = time.Now()
-			}
-		} else if !w.waitStart.IsZero() {
-			// The idle stretch ended — one worker.wait span covers all the
-			// consecutive UnitWait polls.
-			w.spans.Record("worker.wait", "", w.waitStart, time.Since(w.waitStart))
-			w.waitStart = time.Time{}
-		}
 		switch u.Status {
 		case UnitDone:
 			w.leave(leaseReq)
@@ -240,11 +238,7 @@ func (w *worker) loop() error {
 			w.leave(leaseReq)
 			return ErrShutdown
 		case UnitWait:
-			select {
-			case <-w.opts.Interrupt:
-				return campaign.ErrInterrupted
-			case <-time.After(w.opts.PollInterval):
-			}
+			// The coordinator held the request as long as it may; ask again.
 			continue
 		}
 
@@ -343,26 +337,28 @@ func (w *worker) interrupted() bool {
 	}
 }
 
-// post issues one POST with bounded retries and exponential backoff.
-// Transport errors and 5xx responses are retried; 4xx responses are
-// permanent (ErrRejected).
+// post issues one POST with the bounded retry (maxAttempts, exponential
+// backoff). Transport errors and 5xx responses are retried; 4xx
+// responses are permanent (ErrRejected).
 func (w *worker) post(path string, body []byte) ([]byte, error) {
-	backoff := w.opts.BaseBackoff
+	backoff := baseBackoff
 	var lastErr error
-	for attempt := 0; attempt < w.opts.MaxRetries; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			select {
-			case <-w.opts.Interrupt:
+			case <-w.ctx.Done():
 				return nil, campaign.ErrInterrupted
 			case <-time.After(backoff):
 			}
-			backoff *= 2
-			if backoff > w.opts.MaxBackoff {
-				backoff = w.opts.MaxBackoff
-			}
+			backoff = min(2*backoff, maxBackoff)
+		}
+		if w.interrupted() {
+			return nil, campaign.ErrInterrupted
 		}
 		resp, status, err := w.postOnce(path, body)
 		switch {
+		case w.ctx.Err() != nil:
+			return nil, campaign.ErrInterrupted
 		case err != nil:
 			lastErr = err
 		case status == http.StatusOK:
@@ -372,13 +368,18 @@ func (w *worker) post(path string, body []byte) ([]byte, error) {
 		default:
 			return nil, fmt.Errorf("%w: %s: HTTP %d: %s", ErrRejected, path, status, strings.TrimSpace(string(resp)))
 		}
-		w.opts.Logf("worker %s: %s attempt %d/%d failed: %v", w.opts.ID, path, attempt+1, w.opts.MaxRetries, lastErr)
+		w.opts.Logf("worker %s: %s attempt %d/%d failed: %v", w.opts.ID, path, attempt+1, maxAttempts, lastErr)
 	}
-	return nil, fmt.Errorf("%w: %s after %d attempts: %v", ErrUnreachable, path, w.opts.MaxRetries, lastErr)
+	return nil, fmt.Errorf("%w: %s after %d attempts: %v", ErrUnreachable, path, maxAttempts, lastErr)
 }
 
 func (w *worker) postOnce(path string, body []byte) ([]byte, int, error) {
-	resp, err := w.opts.Client.Post(w.base+path, "application/octet-stream", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(w.ctx, http.MethodPost, w.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, 0, err
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -207,16 +207,9 @@ type Machine struct {
 	// memo probe, so it is deliberately excluded from HashExecState.
 	skipNext bool
 
-	// codeLen is the program length in instructions; pc ∈ [0, codeLen)
-	// is executable. For Harvard machines it equals len(rom).
-	codeLen uint32
-	// Von Neumann mode (NewVonNeumann): the program is fetched by
-	// decoding RAM at codeBase instead of from the fault-immune ROM.
-	vn       bool
-	codeBase uint32
 	// pre is the pre-decoded instruction stream (nil unless enabled via
 	// SetPredecode); see predecode.go.
-	pre *preProg
+	pre []preIns
 }
 
 // New creates a machine executing prog with RAM initialized from image
@@ -247,7 +240,6 @@ func New(cfg Config, prog []isa.Instruction, image []byte) (*Machine, error) {
 		status:    StatusRunning,
 		maxSerial: maxSerial,
 		fireAt:    cfg.TimerPeriod,
-		codeLen:   uint32(len(prog)),
 	}
 	copy(m.ram, image)
 	return m, nil
@@ -322,9 +314,6 @@ func (m *Machine) FlipBit(bit uint64) error {
 		return fmt.Errorf("machine: bit %d outside RAM (%d bits)", bit, m.RAMBits())
 	}
 	m.ram[bit/8] ^= 1 << (bit % 8)
-	if m.vn {
-		m.invalidateCode(uint32(bit/8), 1)
-	}
 	return nil
 }
 
@@ -387,9 +376,6 @@ func (m *Machine) FlipBurst(k int, pos uint64) error {
 			pos, len(m.ram), p)
 	}
 	m.ram[b] ^= byte((1<<k - 1) << (pos % p))
-	if m.vn {
-		m.invalidateCode(uint32(b), 1)
-	}
 	return nil
 }
 
@@ -409,7 +395,7 @@ func (m *Machine) Step() (Status, error) {
 		m.pc = m.cfg.TimerVector
 		m.inIRQ = true
 	}
-	if m.pc >= m.codeLen {
+	if m.pc >= uint32(len(m.rom)) {
 		return m.raise(ExcBadPC), nil
 	}
 	if m.skipNext {
@@ -421,15 +407,7 @@ func (m *Machine) Step() (Status, error) {
 		m.pc++
 		return m.status, nil
 	}
-	var ins isa.Instruction
-	if m.vn {
-		var exc Exception
-		if ins, exc = m.vnDecode(m.pc); exc != ExcNone {
-			return m.raise(exc), nil
-		}
-	} else {
-		ins = m.rom[m.pc]
-	}
+	ins := m.rom[m.pc]
 	cycle := m.cycles + 1
 	nextPC := m.pc + 1
 	if m.execHook != nil {
@@ -670,9 +648,6 @@ func (m *Machine) storeWord(cycle uint64, addr uint32, v uint32) Exception {
 		m.ram[addr+1] = byte(v >> 8)
 		m.ram[addr+2] = byte(v >> 16)
 		m.ram[addr+3] = byte(v >> 24)
-		if m.vn {
-			m.invalidateCode(addr, 4)
-		}
 		return ExcNone
 	}
 	if addr >= MMIOBase {
@@ -687,9 +662,6 @@ func (m *Machine) storeByte(cycle uint64, addr uint32, v byte) Exception {
 			m.hook(cycle, addr, 1, AccessWrite)
 		}
 		m.ram[addr] = v
-		if m.vn {
-			m.invalidateCode(addr, 1)
-		}
 		return ExcNone
 	}
 	if addr >= MMIOBase {

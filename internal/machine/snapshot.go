@@ -50,11 +50,6 @@ func (m *Machine) Restore(s *Snapshot) {
 		panic("machine: Restore with mismatched RAM size")
 	}
 	copy(m.ram, s.ram)
-	// A full restore rewrites all of RAM: drop any cached code lowerings
-	// on von Neumann machines.
-	if m.vn {
-		m.invalidateAllCode()
-	}
 	m.regs = s.regs
 	m.pc = s.pc
 	m.cycles = s.cycles
@@ -90,14 +85,11 @@ func (m *Machine) Clone() *Machine {
 		savedPC:   m.savedPC,
 		fireAt:    m.fireAt,
 		skipNext:  m.skipNext,
-		codeLen:   m.codeLen,
-		vn:        m.vn,
-		codeBase:  m.codeBase,
 	}
 	copy(c.ram, m.ram)
 	copy(c.serial, m.serial)
-	// The predecode cache is derived state; rebuild it from the clone's
-	// own RAM/ROM rather than aliasing the source machine's.
+	// The predecode stream is derived state; rebuild it for the clone
+	// rather than aliasing the source machine's.
 	if m.pre != nil {
 		c.SetPredecode(true)
 	}

@@ -37,11 +37,9 @@ type Options struct {
 	MaxQueued int
 	// UnitSize and LeaseTTL parameterize each campaign's coordinator
 	// (defaults cluster.DefaultUnitSize / cluster.DefaultLeaseTTL).
+	// LeaseTTL also bounds how long a worker handshake is held: LeaseTTL/3.
 	UnitSize int
 	LeaseTTL time.Duration
-	// RetryAfter is the client back-off hint attached to 429/503
-	// responses (default 1s).
-	RetryAfter time.Duration
 	// Telemetry, when non-nil, receives service-level metrics (queue
 	// depth, active campaigns, archive hit/miss counters) and campaign
 	// lifecycle trace events, and enables /debug/telemetry.
@@ -58,8 +56,10 @@ type Options struct {
 const (
 	DefaultMaxActive   = 2
 	DefaultMaxQueued   = 16
-	DefaultRetryAfter  = time.Second
 	DefaultStarveAfter = 2 * time.Minute
+	// DefaultRetryAfter is the client back-off hint attached to 429/503
+	// responses.
+	DefaultRetryAfter = time.Second
 )
 
 func (o Options) withDefaults() Options {
@@ -74,9 +74,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LeaseTTL == 0 {
 		o.LeaseTTL = cluster.DefaultLeaseTTL
-	}
-	if o.RetryAfter == 0 {
-		o.RetryAfter = DefaultRetryAfter
 	}
 	if o.StarveAfter == 0 {
 		o.StarveAfter = DefaultStarveAfter
@@ -142,9 +139,9 @@ type CampaignStatus struct {
 	State  string `json:"state"`
 	// Cached reports that the campaign completed without executing a
 	// single experiment: its report came from the result archive.
-	Cached bool   `json:"cached,omitempty"`
-	Done   int    `json:"done"`
-	Total  int    `json:"total"`
+	Cached bool `json:"cached,omitempty"`
+	Done   int  `json:"done"`
+	Total  int  `json:"total"`
 	// Objective is the campaign's attacker-objective name ("" = none);
 	// Attacks counts classes whose outcome satisfied it so far.
 	Objective string `json:"objective,omitempty"`
@@ -183,6 +180,9 @@ type Service struct {
 	fleetPos  int      // round-robin position for fleet assignment
 	draining  bool
 	wg        sync.WaitGroup
+	// wake is closed (and replaced) when a held handshake could now get
+	// an answer: a campaign spec was published or draining began.
+	wake chan struct{}
 
 	telQueueDepth *telemetry.Gauge
 	telActive     *telemetry.Gauge
@@ -199,6 +199,7 @@ func New(opts Options) (*Service, error) {
 		opts:      opts,
 		campaigns: make(map[[32]byte]*entry),
 		queues:    make(map[string][]*entry),
+		wake:      make(chan struct{}),
 	}
 	if opts.Dir != "" {
 		st, err := OpenStore(opts.Dir, opts.MaxArchiveBytes)
@@ -270,7 +271,7 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 }
 
 func (s *Service) retryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.opts.RetryAfter+time.Second-1)/time.Second)))
+	w.Header().Set("Retry-After", strconv.Itoa(int(DefaultRetryAfter/time.Second)))
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -598,6 +599,7 @@ func (s *Service) runCampaign(e *entry) {
 	s.mu.Lock()
 	e.coord = coord
 	e.specBytes = cluster.EncodeSpec(spec)
+	s.wakeLocked()
 	s.mu.Unlock()
 	s.opts.Telemetry.Tracef("campaign.started", "%s (%s)", e.spec.Name, e.idHex[:12])
 	s.opts.Logf("service: campaign %s (%s) started", e.spec.Name, e.idHex[:12])
@@ -675,7 +677,9 @@ func (s *Service) drainCoordinator(c *cluster.Coordinator) {
 // campaign (chosen round-robin), or 503 + Retry-After when none is
 // running — the worker's bounded retry loop absorbs the wait. A body
 // carrying a FleetHello frame gets a ServiceHello back, which can also
-// say "wait" or "shutdown" explicitly (JoinFleet's protocol).
+// say "wait" or "shutdown" explicitly (JoinFleet's protocol). Either way
+// a handshake with no campaign to assign is held until runCampaign
+// publishes a spec or Shutdown starts draining, for at most LeaseTTL/3.
 func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 	if !cluster.RequireMethod(w, r, http.MethodPost) {
 		return
@@ -684,8 +688,23 @@ func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	var hello cluster.FleetHello
+	if len(body) > 0 {
+		var err error
+		if hello, err = cluster.DecodeFleetHello(body); err != nil {
+			http.Error(w, "service: handshake: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+	}
+	hold := time.Now().Add(s.opts.LeaseTTL / 3)
+	spec, draining, wake := s.pickCampaign()
+	for spec == nil && !draining && time.Now().Before(hold) {
+		if !cluster.Hold(r, wake, hold) {
+			return
+		}
+		spec, draining, wake = s.pickCampaign()
+	}
 	if len(body) == 0 {
-		spec, _ := s.pickCampaign()
 		if spec == nil {
 			s.retryAfter(w)
 			http.Error(w, "service: no campaign running", http.StatusServiceUnavailable)
@@ -695,41 +714,42 @@ func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 		w.Write(spec)
 		return
 	}
-	hello, err := DecodeFleetHello(body)
-	if err != nil {
-		http.Error(w, "service: handshake: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	resp := ServiceHello{Status: FleetWait}
-	spec, draining := s.pickCampaign()
+	resp := cluster.ServiceHello{Status: cluster.FleetWait}
 	switch {
 	case draining:
-		resp.Status = FleetShutdown
+		resp.Status = cluster.FleetShutdown
 	case spec != nil:
-		resp.Status = FleetGranted
+		resp.Status = cluster.FleetGranted
 		resp.Spec = spec
 	}
 	s.opts.Telemetry.Tracef("fleet.handshake", "worker %s: status %d", hello.WorkerID, resp.Status)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(EncodeServiceHello(resp))
+	w.Write(cluster.EncodeServiceHello(resp))
 }
 
 // pickCampaign chooses a running campaign round-robin for a handshaking
-// worker, spreading the fleet across concurrent campaigns.
-func (s *Service) pickCampaign() (spec []byte, draining bool) {
+// worker, spreading the fleet across concurrent campaigns. With none to
+// pick it also returns the channel a held handshake waits on.
+func (s *Service) pickCampaign() (spec []byte, draining bool, wake <-chan struct{}) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return nil, true
+		return nil, true, nil
 	}
 	for range s.active {
 		e := s.active[s.fleetPos%len(s.active)]
 		s.fleetPos++
 		if e.specBytes != nil {
-			return e.specBytes, false
+			return e.specBytes, false, nil
 		}
 	}
-	return nil, false
+	return nil, false, s.wake
+}
+
+// wakeLocked releases every held handshake to re-check for an answer.
+func (s *Service) wakeLocked() {
+	close(s.wake)
+	s.wake = make(chan struct{})
 }
 
 // routeWorker dispatches a worker-protocol request to the right
@@ -758,6 +778,7 @@ func (s *Service) routeWorker(w http.ResponseWriter, r *http.Request) {
 	if e != nil {
 		coord, state = e.coord, e.state
 	}
+	wake := s.wake
 	s.mu.Unlock()
 	if e == nil {
 		http.Error(w, "service: campaign identity mismatch (unknown campaign)", http.StatusConflict)
@@ -774,6 +795,11 @@ func (s *Service) routeWorker(w http.ResponseWriter, r *http.Request) {
 		u := cluster.WorkUnit{}
 		switch state {
 		case StateQueued:
+			// Held like a handshake, until the campaign's coordinator could
+			// be running.
+			if !cluster.Hold(r, wake, time.Now().Add(s.opts.LeaseTTL/3)) {
+				return
+			}
 			u.Status = cluster.UnitWait
 		case StateDone:
 			u.Status = cluster.UnitDone
@@ -956,6 +982,7 @@ func (s *Service) Shutdown() {
 		return
 	}
 	s.draining = true
+	s.wakeLocked()
 	for _, tenant := range s.ring {
 		for _, e := range s.queues[tenant] {
 			s.queued--

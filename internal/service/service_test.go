@@ -1,16 +1,17 @@
 package service
 
 import (
-	"errors"
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -98,9 +99,7 @@ func startFleet(t testing.TB, svc *Service, url string, n int) (stop func()) {
 		go func(i int) {
 			defer wg.Done()
 			JoinFleet(url, FleetOptions{
-				ID:           fmt.Sprintf("fleet%d", i),
-				PollInterval: 10 * time.Millisecond,
-				Interrupt:    intr,
+				Worker: cluster.WorkerOptions{ID: fmt.Sprintf("fleet%d", i), Interrupt: intr},
 				TelemetryFor: func(spec cluster.Spec) *telemetry.Registry {
 					return svc.CampaignTelemetry(spec.Identity)
 				},
@@ -411,17 +410,17 @@ func TestCancelAndDrain(t *testing.T) {
 		t.Error("503 must carry a Retry-After hint")
 	}
 	hello, err := http.Post(srv.URL+"/v1/handshake", "application/octet-stream",
-		bytes.NewReader(EncodeFleetHello(FleetHello{WorkerID: "late"})))
+		bytes.NewReader(cluster.EncodeFleetHello(cluster.FleetHello{WorkerID: "late"})))
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(hello.Body)
 	hello.Body.Close()
-	h, err := DecodeServiceHello(body)
+	h, err := cluster.DecodeServiceHello(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != FleetShutdown {
+	if h.Status != cluster.FleetShutdown {
 		t.Errorf("fleet handshake while draining: status %d, want shutdown", h.Status)
 	}
 }
@@ -478,30 +477,47 @@ func TestServiceMethodRejection(t *testing.T) {
 	_ = id
 }
 
-// TestFleetWireRoundtrip pins the fleet handshake codec.
+// TestFleetWireRoundtrip pins the fleet handshake codec (the 'F' and 'V'
+// frames in internal/cluster's wire module) to golden bytes, so a
+// service and fleet workers built from different commits still
+// understand each other.
 func TestFleetWireRoundtrip(t *testing.T) {
-	h, err := DecodeFleetHello(EncodeFleetHello(FleetHello{WorkerID: "w1"}))
-	if err != nil || h.WorkerID != "w1" {
-		t.Fatalf("fleet hello roundtrip: %+v, %v", h, err)
-	}
-	for _, want := range []ServiceHello{
-		{Status: FleetWait},
-		{Status: FleetShutdown},
-		{Status: FleetGranted, Spec: []byte("spec-bytes")},
+	for _, tc := range []struct {
+		hello cluster.FleetHello
+		want  string
+	}{
+		{cluster.FleetHello{WorkerID: "w1"}, "460300000077e265cd027731"},
+		{cluster.FleetHello{}, "46010000008def02d200"},
 	} {
-		got, err := DecodeServiceHello(EncodeServiceHello(want))
+		frame := cluster.EncodeFleetHello(tc.hello)
+		if got := hex.EncodeToString(frame); got != tc.want {
+			t.Errorf("fleet hello %+v encodes to %s, want %s", tc.hello, got, tc.want)
+		}
+		h, err := cluster.DecodeFleetHello(frame)
+		if err != nil || h != tc.hello {
+			t.Fatalf("fleet hello roundtrip: %+v, %v", h, err)
+		}
+	}
+	for _, tc := range []struct {
+		hello cluster.ServiceHello
+		want  string
+	}{
+		{cluster.ServiceHello{Status: cluster.FleetWait}, "5602000000be23c2580100"},
+		{cluster.ServiceHello{Status: cluster.FleetShutdown}, "56020000007d70ef730200"},
+		{cluster.ServiceHello{Status: cluster.FleetGranted, Spec: []byte("spec-bytes")},
+			"560c00000039397b9a000a737065632d6279746573"},
+	} {
+		frame := cluster.EncodeServiceHello(tc.hello)
+		if got := hex.EncodeToString(frame); got != tc.want {
+			t.Errorf("service hello %+v encodes to %s, want %s", tc.hello, got, tc.want)
+		}
+		got, err := cluster.DecodeServiceHello(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Status != want.Status || !bytes.Equal(got.Spec, want.Spec) {
-			t.Fatalf("service hello roundtrip: %+v, want %+v", got, want)
+		if got.Status != tc.hello.Status || !bytes.Equal(got.Spec, tc.hello.Spec) {
+			t.Fatalf("service hello roundtrip: %+v, want %+v", got, tc.hello)
 		}
-	}
-	if _, err := DecodeFleetHello([]byte("garbage")); err == nil {
-		t.Error("garbage fleet hello must be rejected")
-	}
-	if _, err := DecodeServiceHello(EncodeFleetHello(FleetHello{})); err == nil {
-		t.Error("kind confusion must be rejected")
 	}
 }
 
@@ -523,12 +539,13 @@ func TestUnknownWorkerIdentity(t *testing.T) {
 }
 
 // TestFleetUnreachableGivesUp: a fleet worker whose service vanished
-// for good stops polling after the failure budget instead of spinning
-// on a dead address forever.
+// for good gives up once a handshake exhausts the worker's bounded
+// retry, instead of spinning on a dead address forever.
 func TestFleetUnreachableGivesUp(t *testing.T) {
+	t.Parallel() // rides the real backoff schedule
 	srv := httptest.NewServer(http.NotFoundHandler())
 	srv.Close() // nothing listens here any more
-	err := JoinFleet(srv.URL, FleetOptions{PollInterval: time.Millisecond})
+	err := JoinFleet(srv.URL, FleetOptions{})
 	if !errors.Is(err, cluster.ErrUnreachable) {
 		t.Fatalf("JoinFleet against a dead service: %v, want ErrUnreachable", err)
 	}
@@ -597,10 +614,9 @@ func TestFleetRerunStrategy(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		JoinFleet(srv.URL, FleetOptions{
-			ID:           "rerun-fleet",
-			PollInterval: 10 * time.Millisecond,
-			Interrupt:    intr,
-			Worker:       cluster.WorkerOptions{Workers: 1, Strategy: campaign.StrategyRerun},
+			Worker: cluster.WorkerOptions{
+				ID: "rerun-fleet", Interrupt: intr, Workers: 1, Strategy: campaign.StrategyRerun,
+			},
 			TelemetryFor: func(s cluster.Spec) *telemetry.Registry {
 				return svc.CampaignTelemetry(s.Identity)
 			},
@@ -685,5 +701,114 @@ func TestInvariant12ArchiveHitAttackSpaces(t *testing.T) {
 			}
 			svc2.Shutdown()
 		})
+	}
+}
+
+// serveHandshakeTap serves svc over loopback, calling tap on every
+// /v1/handshake request before the service handles it.
+func serveHandshakeTap(t *testing.T, svc *Service, tap func()) *httptest.Server {
+	h := svc.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/handshake" {
+			tap()
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestIdleFleetHandshakeHeld: the service holds an idle fleet worker's
+// handshake for LeaseTTL/3 instead of answering "wait" at once, so over
+// one second against an empty service with the default TTL the worker
+// handshakes at most twice. A campaign submitted afterwards releases the
+// held handshake at once and completes, and draining the service
+// releases the next held handshake with a shutdown notice.
+func TestIdleFleetHandshakeHeld(t *testing.T) {
+	t.Parallel() // mostly an idle second
+	svc, err := New(Options{LeaseTTL: cluster.DefaultLeaseTTL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var handshakes atomic.Int64
+	arrived := make(chan struct{}, 1)
+	srv := serveHandshakeTap(t, svc, func() {
+		handshakes.Add(1)
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+	})
+	done := make(chan error, 1)
+	go func() { done <- JoinFleet(srv.URL, FleetOptions{Worker: cluster.WorkerOptions{ID: "idle"}}) }()
+
+	time.Sleep(time.Second)
+	if n := handshakes.Load(); n > 2 {
+		t.Errorf("idle fleet worker made %d handshakes in 1s, want <= 2", n)
+	}
+	<-arrived
+	submitted := time.Now()
+	st, resp := submitSpec(t, srv.URL, testSpec(t, "hi", 0), "t")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	if st = waitDone(t, srv.URL, st.ID); st.State != StateDone {
+		t.Fatalf("campaign after an idle stretch: %s, want done", st.State)
+	}
+	// The started campaign wakes the held handshake; without the wake
+	// the worker would only notice when its hold ran out, 3.3 s later.
+	if d := time.Since(submitted); d > time.Second {
+		t.Errorf("campaign took %v from submission to done, want well under the 3.3s hold", d)
+	}
+
+	<-arrived // the worker is back in a held handshake
+	drained := time.Now()
+	svc.Shutdown()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("fleet worker after drain: %v, want nil (shutdown notice)", err)
+		}
+		if d := time.Since(drained); d > time.Second {
+			t.Errorf("fleet worker left %v after the drain began, want well under the 3.3s hold", d)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("fleet worker did not leave a draining service")
+	}
+}
+
+// TestInterruptDuringHeldHandshake: closing a fleet worker's Interrupt
+// while the service holds its handshake ends JoinFleet with
+// ErrInterrupted at once, not when the hold runs out.
+func TestInterruptDuringHeldHandshake(t *testing.T) {
+	svc, err := New(Options{LeaseTTL: cluster.DefaultLeaseTTL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handshake := make(chan struct{}, 1)
+	srv := serveHandshakeTap(t, svc, func() {
+		select {
+		case handshake <- struct{}{}:
+		default:
+		}
+	})
+	intr := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- JoinFleet(srv.URL, FleetOptions{Worker: cluster.WorkerOptions{ID: "idle", Interrupt: intr}})
+	}()
+	<-handshake // the service holds it: no campaign is running
+	close(intr)
+	start := time.Now()
+	select {
+	case err := <-done:
+		if !errors.Is(err, campaign.ErrInterrupted) {
+			t.Errorf("JoinFleet: %v, want ErrInterrupted", err)
+		}
+		if d := time.Since(start); d > 500*time.Millisecond {
+			t.Errorf("JoinFleet returned %v after the interrupt, want within 500ms", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("JoinFleet did not return after its interrupt")
 	}
 }

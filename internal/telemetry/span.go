@@ -11,11 +11,11 @@ import (
 	"time"
 )
 
-// DefaultSpanCapacity bounds a SpanRecorder when NewSpanRecorder is
+// DefaultRecorderCapacity bounds a SpanRecorder when NewSpanRecorder is
 // called with capacity <= 0. Spans are recorded at unit/phase
 // granularity — not per experiment — so even long campaigns stay well
 // under this; when they don't, Dropped() makes the truncation explicit.
-const DefaultSpanCapacity = 4096
+const DefaultRecorderCapacity = 4096
 
 // TraceID is a 128-bit campaign trace identifier. It is minted once at
 // campaign submission, propagated through the cluster wire protocol,
@@ -92,7 +92,7 @@ type SpanRecorder struct {
 // scope applied to Record/Start spans (Add keeps the span's own scope).
 func NewSpanRecorder(trace TraceID, scope string, capacity int) *SpanRecorder {
 	if capacity <= 0 {
-		capacity = DefaultSpanCapacity
+		capacity = DefaultRecorderCapacity
 	}
 	return &SpanRecorder{trace: trace, scope: scope, cap: capacity}
 }

@@ -69,8 +69,8 @@ func TestSpanRecorderDropNewest(t *testing.T) {
 
 	// Add keeps the span's own scope — the coordinator's merge path.
 	rec2 := NewSpanRecorder(NewTraceID(), "coordinator", 0)
-	if rec2.Cap() != DefaultSpanCapacity {
-		t.Errorf("default capacity = %d, want %d", rec2.Cap(), DefaultSpanCapacity)
+	if rec2.Cap() != DefaultRecorderCapacity {
+		t.Errorf("default capacity = %d, want %d", rec2.Cap(), DefaultRecorderCapacity)
 	}
 	rec2.Add(Span{Scope: "w7", Name: "unit.scan", Start: base, Dur: time.Millisecond})
 	if got := rec2.Spans()[0].Scope; got != "w7" {

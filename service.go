@@ -128,19 +128,19 @@ func ServeCampaigns(addr string, opts CampaignServiceOptions) error {
 			defer fleet.Done()
 			w := opts.WorkerOptions
 			err := service.JoinFleet("http://"+bound, service.FleetOptions{
-				ID: fmt.Sprintf("local%d", n),
 				Worker: cluster.WorkerOptions{
+					ID:        fmt.Sprintf("local%d", n),
 					Workers:   w.Workers,
 					Strategy:  w.Strategy,
 					Predecode: w.Predecode,
+					Interrupt: opts.Interrupt,
+					Logf:      opts.Logf,
 				},
-				Interrupt: opts.Interrupt,
 				// Point each assigned campaign's engine counters at that
 				// campaign's own registry, keeping them isolated.
 				TelemetryFor: func(spec cluster.Spec) *telemetry.Registry {
 					return svc.CampaignTelemetry(spec.Identity)
 				},
-				Logf: opts.Logf,
 			})
 			if err != nil && !errors.Is(err, ErrInterrupted) && opts.Logf != nil {
 				opts.Logf("faultspace: local worker %d: %v", n, err)
@@ -275,35 +275,15 @@ func CampaignReport(addr, id string) (*ScanResult, error) {
 // request bound).
 const maxReportBytes = 16 << 20
 
-// FleetOptions parameterizes JoinServiceFleet. The embedded JoinOptions
-// keep their JoinScan meaning per assigned campaign.
-type FleetOptions struct {
-	JoinOptions
-	// PollInterval is the wait between handshakes while no campaign is
-	// running (default 200ms).
-	PollInterval time.Duration
-}
-
 // JoinServiceFleet attaches this process to a campaign service as a
 // long-lived fleet worker: the service assigns it a campaign, it runs
 // that campaign's work units exactly like JoinScan, and when the
-// campaign completes it asks for the next one. It returns nil when the
-// service announces shutdown and ErrInterrupted when
-// JoinOptions.Interrupt fires.
-func JoinServiceFleet(addr string, opts FleetOptions) error {
-	wopts := cluster.WorkerOptions{
-		Workers:   opts.Workers,
-		Strategy:  opts.Strategy,
-		Predecode: opts.Predecode,
-		Telemetry: opts.Telemetry,
-	}
-	err := service.JoinFleet(normalizeURL(addr), service.FleetOptions{
-		ID:           opts.WorkerID,
-		Worker:       wopts,
-		PollInterval: opts.PollInterval,
-		Interrupt:    opts.Interrupt,
-		Logf:         opts.Logf,
-	})
+// campaign completes it asks for the next one. The service holds an idle
+// worker's handshake until there is a campaign, so the worker never
+// polls. It returns nil when the service announces shutdown and
+// ErrInterrupted when JoinOptions.Interrupt fires.
+func JoinServiceFleet(addr string, opts JoinOptions) error {
+	err := service.JoinFleet(normalizeURL(addr), service.FleetOptions{Worker: opts.workerOptions()})
 	if err != nil {
 		return fmt.Errorf("faultspace: %w", err)
 	}
